@@ -89,8 +89,7 @@ const (
 	// CodeUnavailable marks a request the server cannot serve right now
 	// but may serve after a retry: the durable store is closed (a dead
 	// disk poisons the WAL), or a dataset is being mutated faster than
-	// queries can land on a stable engine generation. Paired with HTTP
-	// 503. Distinct from CodeInternal (a bug or unexpected failure,
+	// a lazy engine build can catch up with. Paired with HTTP 503. Distinct from CodeInternal (a bug or unexpected failure,
 	// HTTP 500) and from CodeNoBackend (a router with no live replica).
 	CodeUnavailable = "unavailable"
 	// CodeInternal marks any other server-side failure. Paired with

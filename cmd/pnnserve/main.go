@@ -65,8 +65,6 @@ var (
 	logLevel    = flag.String("log-level", "info", "structured log level: debug logs every request, info only slow ones (off disables)")
 	slowQuery   = flag.Duration("slow-query", time.Second, "log requests at least this slow at Warn (0 disables)")
 	pprofFlag   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: it leaks stacks and heap contents)")
-	engineMode  = flag.String("engine", server.EngineDynamic, "write-path engine for durable datasets: dynamic (deltas applied in place) or static (rebuild on every write)")
-	compactFrac = flag.Float64("delta-compact-fraction", 0, "deletes-to-live ratio above which a delta falls back to a compacting rebuild (0 = default 0.25, negative disables)")
 	traceSample = flag.Float64("trace-sample", 0, "fraction of requests whose spans are kept at /debug/traces (0 keeps only slow traces, 1 keeps all)")
 	traceBuffer = flag.Int("trace-buffer", 256, "traces retained in the /debug/traces ring (0 disables tracing)")
 )
@@ -110,10 +108,6 @@ func main() {
 		return nil
 	})
 	flag.Parse()
-	if *engineMode != server.EngineDynamic && *engineMode != server.EngineStatic {
-		log.Fatalf("pnnserve: -engine must be %q or %q, got %q",
-			server.EngineDynamic, server.EngineStatic, *engineMode)
-	}
 
 	var st *store.Store
 	if *storeDir != "" {
@@ -165,12 +159,8 @@ func main() {
 		AdminToken:         *adminToken,
 		Logger:             logger,
 		SlowQueryThreshold: orDisabledDur(*slowQuery),
-		EngineMode:         *engineMode,
-		// The flag follows Config's convention directly: zero picks the
-		// default fraction, negative disables the fallback.
-		DeltaCompactFraction: *compactFrac,
-		TraceSampleRate:      *traceSample,
-		TraceBuffer:          orDisabled(*traceBuffer),
+		TraceSampleRate:    *traceSample,
+		TraceBuffer:        orDisabled(*traceBuffer),
 	})
 	handler := srv.Handler()
 	if *pprofFlag {

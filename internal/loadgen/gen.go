@@ -158,7 +158,7 @@ func (g *Gen) batchItem() api.BatchItem {
 
 // insert synthesizes one fresh point near a hot pool location, so
 // writes land where reads are looking (the worst case for the result
-// cache and engine generations).
+// cache and the live engines).
 func (g *Gen) insert() Request {
 	di := g.dz.Next()
 	center := g.pools[di][g.pz.Next()]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot local gate mirroring the CI lint and test jobs, in CI
-# order: format, vet, pnnvet, build, tests. `make check` wraps it;
-# CHECK_RACE=1 adds the full-matrix race pass the CI race job runs.
+# order: format, vet, pnnvet, build, tests (root module, then the
+# benchmark module). `make check` wraps it; CHECK_RACE=1 adds the
+# full-matrix race pass the CI race job runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,6 +32,9 @@ go build ./...
 
 echo "== tests"
 go test ./...
+
+echo "== benchmark module (vet + tests)"
+(cd benchmark && go vet ./... && go test ./...)
 
 if [ "${CHECK_RACE:-0}" = "1" ]; then
   echo "== race (full matrix)"

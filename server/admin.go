@@ -49,18 +49,21 @@ func (s *Server) admin(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// refreshDataset re-reads a dataset from the store into the registry
-// after a mutation: the registry swap retires the old engine
-// generation and the version bump re-keys the result cache. Dropped
-// datasets are removed. Refreshes of one name are serialized (see
-// lockRefresh): the registry ignores stale versions on Upsert, but a
-// Remove has no version to compare against, so an unserialized slow
-// refresh from an older mutation could read the dataset before a
-// concurrent drop commits and then Upsert after the drop's Remove —
-// resurrecting a registry entry for a dataset the store no longer
-// holds. Under the per-name lock each refresh reads the store's
-// current state, so the last one to run leaves the registry agreeing
-// with the store.
+// refreshDataset brings the registry up to date with the store after a
+// mutation: the ops committed since the registry's version fold into
+// the dataset's live engines in place, and the version bump re-keys the
+// result cache. A dropped dataset is removed; a first load registers
+// it. When the op tail cannot bridge the registry's version (a gap) or
+// the kind changed, the name was dropped and recreated behind this
+// refresh's back, and the registry's Dataset is replaced whole, exactly
+// as a drop followed by a create would replace it. Refreshes of one
+// name are serialized (see lockRefresh): Remove has no version to
+// compare against, so an unserialized slow refresh from an older
+// mutation could read the dataset before a concurrent drop commits and
+// then register it after the drop's Remove — resurrecting a registry
+// entry for a dataset the store no longer holds. Under the per-name
+// lock each refresh reads the store's current state, so the last one
+// to run leaves the registry agreeing with the store.
 func (s *Server) refreshDataset(ctx context.Context, name string) error {
 	// Time the per-name lock acquisition: under write contention this is
 	// where mutations queue, and the wait is invisible to the WAL and
@@ -77,98 +80,37 @@ func (s *Server) refreshDataset(ctx context.Context, name string) error {
 	s.metrics.lockWait.With(label).ObserveDuration(wait.Total())
 	span.End()
 	defer s.unlockRefresh(name, l)
-	if s.deltaRefresh(ctx, name) {
-		return nil
+
+	d := s.reg.Get(name)
+	var since uint64
+	if d != nil {
+		since = d.Version()
 	}
-	// View reads (kind, set, version) under one store-lock acquisition:
-	// two separate Dataset+Set calls could straddle a concurrent drop
-	// (500 for an already-committed mutation) or drop+recreate (the old
-	// kind paired with the new set).
-	info, set, err := s.cfg.Store.View(name)
-	if errors.Is(err, store.ErrUnknownDataset) {
+	info, ops, ok, err := s.cfg.Store.OpsSince(name, since)
+	switch {
+	case errors.Is(err, store.ErrUnknownDataset):
 		s.reg.Remove(name)
 		return nil
-	}
-	if err != nil {
+	case err != nil:
 		return err
-	}
-	s.reg.Upsert(name, info.Kind, set, info.Version)
-	return nil
-}
-
-// deltaRefresh attempts the delta write path: read the ops committed
-// since the registry's version and fold them into the live engines in
-// place, skipping the full store read and generation swap. It reports
-// whether the registry was brought current. The fallbacks — any false
-// return — land on the View+Upsert swap below: engine mode static, a
-// dataset the registry has not loaded yet, a kind change (drop +
-// recreate resets the op tail base, so OpsSince reports a gap), an op
-// tail gap after many buffered mutations, and a delete-heavy delta
-// (folding tombstones one by one is worse than one compacting
-// rebuild). The caller holds the per-name refresh lock, which is what
-// serializes ApplyDelta per dataset.
-func (s *Server) deltaRefresh(ctx context.Context, name string) bool {
-	if s.cfg.EngineMode != EngineDynamic {
-		s.metrics.deltaFallbacks.Inc("static")
-		return false
-	}
-	d := s.reg.Get(name)
-	if d == nil || !d.Durable() {
-		// First load of the name — there is nothing to delta against, so
-		// this is initialization, not a fallback.
-		return false
-	}
-	info, ops, ok, err := s.cfg.Store.OpsSince(name, d.Version())
-	if err != nil || !ok {
+	case d == nil || !d.Durable():
+		// First load of the name: nothing to delta against.
+	case info.Kind != d.Kind:
+		s.metrics.deltaFallbacks.Inc("kind_change")
+	case !ok:
 		s.metrics.deltaFallbacks.Inc("tail_gap")
-		return false
+	default:
+		span = obs.LeafSpan(ctx, "delta.apply")
+		span.SetAttr("dataset", name)
+		t := obs.StartTimer()
+		d.applyDelta(info, ops)
+		span.End()
+		s.metrics.deltaApplied.Inc()
+		s.metrics.deltaApply.ObserveDuration(t.Total())
+		return nil
 	}
-	if info.Kind != d.Kind {
-		s.metrics.deltaFallbacks.Inc("kind_change")
-		return false
-	}
-	if deleteHeavy(ops, info.N, s.cfg.DeltaCompactFraction) {
-		s.metrics.deltaFallbacks.Inc("delete_heavy")
-		return false
-	}
-	span := obs.LeafSpan(ctx, "delta.apply")
-	span.SetAttr("dataset", name)
-	t := obs.StartTimer()
-	applied := s.reg.ApplyDelta(name, info.Kind, info.Version, info.N, ops)
-	span.End()
-	if !applied {
-		// The registry entry changed under the name since the Get above —
-		// a drop + recreate, which is a kind change from the delta path's
-		// point of view.
-		s.metrics.deltaFallbacks.Inc("kind_change")
-		return false
-	}
-	s.metrics.deltaApplied.Inc()
-	s.metrics.deltaApply.ObserveDuration(t.Total())
-	return true
-}
-
-// deleteHeavy reports whether a delta carries enough deletes, relative
-// to the dataset's live count, that compacting via a fresh build beats
-// folding tombstones in place. frac ≤ 0 disables the heuristic; small
-// absolute counts (< deltaCompactMin) never trigger it.
-func deleteHeavy(ops []store.DeltaOp, live int, frac float64) bool {
-	if frac <= 0 {
-		return false
-	}
-	del := 0
-	for _, op := range ops {
-		if op.Deleted != 0 {
-			del++
-		}
-	}
-	if del < deltaCompactMin {
-		return false
-	}
-	if live < 1 {
-		live = 1
-	}
-	return float64(del) >= frac*float64(live)
+	s.reg.put(s.cfg.Store, info)
+	return nil
 }
 
 // refreshLock is one name's refresh mutex plus the count of holders

@@ -38,28 +38,38 @@ func storeServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *store.St
 // adminDo sends one authenticated request and returns status + body.
 func adminDo(t *testing.T, hs *httptest.Server, method, path string, body any, token string) (int, []byte) {
 	t.Helper()
+	status, raw, err := adminTry(hs, method, path, body, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return status, raw
+}
+
+// adminTry is adminDo for spawned goroutines: it returns transport
+// failures instead of calling FailNow.
+func adminTry(hs *httptest.Server, method, path string, body any, token string) (int, []byte, error) {
 	var rdr io.Reader
 	if body != nil {
 		raw, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			return 0, nil, err
 		}
 		rdr = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequest(method, hs.URL+path, rdr)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	if token != "" {
 		req.Header.Set("Authorization", "Bearer "+token)
 	}
 	resp, err := hs.Client().Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, raw
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
 }
 
 func decodeMutation(t *testing.T, raw []byte) api.Mutation {
@@ -127,9 +137,10 @@ func TestAdminDisabledWithoutStoreOrToken(t *testing.T) {
 
 // TestMutationLifecycle drives the whole write path over HTTP: create,
 // insert, query, insert again (the same query must change: cache
-// provably invalidated), delete a point, snapshot, drop.
+// provably invalidated), delete a point, snapshot, drop, recreate.
+// Every refresh sees exactly its own mutation, so none falls back.
 func TestMutationLifecycle(t *testing.T) {
-	_, hs, _ := storeServer(t, Config{})
+	srv, hs, _ := storeServer(t, Config{})
 
 	// Create.
 	status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/fleet", api.CreateDataset{Kind: "discrete"}, testToken)
@@ -258,6 +269,13 @@ func TestMutationLifecycle(t *testing.T) {
 	}, testToken); status != http.StatusBadRequest || errCode(t, raw) != api.CodeBadParam {
 		t.Fatalf("kind-mismatch insert: %d %s", status, raw)
 	}
+	// A drop is a removal, not an op-tail gap, and the recreate is a
+	// first load: no fallback reason may have fired.
+	for reason, n := range srv.metrics.deltaFallbacks.Values() {
+		if n != 0 {
+			t.Errorf("pnn_delta_fallback_total{reason=%q} = %d, want 0", reason, n)
+		}
+	}
 }
 
 // TestDatasetListingStable pins the /v1/datasets contract: entries
@@ -347,9 +365,8 @@ func TestMutationDurability(t *testing.T) {
 }
 
 // TestMutateWhileQuerying hammers queries concurrently with mutations:
-// no query may fail (beyond the documented transient 503 at absurd
-// write rates — not expected here), every answer must be internally
-// consistent, and the server must drain cleanly across engine swaps.
+// no query may fail, and the engines must keep answering while every
+// write folds into them in place.
 func TestMutateWhileQuerying(t *testing.T) {
 	_, hs, _ := storeServer(t, Config{BatchWindow: 200 * time.Microsecond, CacheSize: 128})
 
@@ -402,36 +419,18 @@ func TestMutateWhileQuerying(t *testing.T) {
 // serialized per name, so whatever interleaving the mutations take,
 // the quiesced registry must agree with the store — before the
 // per-name refresh lock, a slow refresh from an older insert could
-// read the dataset, lose the race to a drop's Remove, and then Upsert
-// a ghost entry for a dataset the store no longer holds.
+// read the dataset, lose the race to a drop's Remove, and then
+// register a ghost entry for a dataset the store no longer holds.
 func TestRefreshDropRace(t *testing.T) {
 	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
 	const name = "ghost"
 	var applied atomic.Int64 // mutations the server actually acknowledged
 	do := func(method, path string, body any) error {
-		var rdr io.Reader
-		if body != nil {
-			raw, err := json.Marshal(body)
-			if err != nil {
-				return err
-			}
-			rdr = bytes.NewReader(raw)
-		}
-		req, err := http.NewRequest(method, hs.URL+path, rdr)
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Authorization", "Bearer "+testToken)
-		resp, err := hs.Client().Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		status, _, err := adminTry(hs, method, path, body, testToken)
+		if status == http.StatusOK {
 			applied.Add(1)
 		}
-		return nil // non-200s (lost races: insert into a dropped dataset, …) are expected
+		return err // non-200s (lost races: insert into a dropped dataset, …) are expected
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

@@ -47,13 +47,15 @@
 // All of them require "Authorization: Bearer <Config.AdminToken>";
 // with no token configured they are disabled, and with no store they
 // answer 409 api.CodeReadOnly. A mutation is acknowledged only after
-// its WAL record is fsynced. Each write bumps the dataset's monotone
-// version, which keys the result cache (a stale cached answer is
-// structurally unreachable after a write) and retires the dataset's
-// engine generation: old batchers drain gracefully while queued
-// queries retry against engines rebuilt over the new point set.
-// Queries against a created-but-empty dataset answer 409
-// api.CodeEmptyDataset.
+// its WAL record is fsynced. Its refresh then folds the committed op
+// into the dataset's live engines in place and bumps the dataset's
+// monotone version, which keys the result cache (a stale cached answer
+// is structurally unreachable after a write). Batchers keep draining
+// across the bump, and no query retries: an engine is never older than
+// the version its query read. A backend=diagram engine cannot absorb
+// writes, so each write drops it and the next diagram query rebuilds
+// it from the store. Queries against a created-but-empty dataset
+// answer 409 api.CodeEmptyDataset.
 //
 // The sub-package pnn/server/shard layers a stateless scatter-gather
 // routing tier over multiple replicated instances of this server; it

@@ -6,7 +6,7 @@
 // static serving; every delta demands a rebuild) and Dynamic wraps the
 // Bentley–Saxe pnn.DynamicIndex (amortized O(log n) per applied
 // write). The registry holds Engines and applies deltas in place,
-// falling back to a generation swap exactly when Apply says it must.
+// dropping an engine for a lazy rebuild exactly when Apply refuses.
 package engine
 
 import (
@@ -27,7 +27,7 @@ type Querier interface {
 
 // ErrRebuildRequired reports a delta the engine cannot fold in place;
 // the caller must rebuild a fresh engine from the authoritative store
-// state instead (generation swap).
+// state instead.
 var ErrRebuildRequired = errors.New("engine: delta apply requires a rebuild")
 
 // Cost is an engine's cumulative write-path work.
@@ -164,7 +164,7 @@ func (e *Dynamic) Eps() float64 { return e.dyn.Eps() }
 // Apply folds committed mutations in, in commit order. A delete of an
 // id this engine never saw means the engine's state has diverged from
 // the history handed to it; that is reported as ErrRebuildRequired so
-// the caller swaps in a fresh build rather than serving drift.
+// the caller rebuilds rather than serving drift.
 func (e *Dynamic) Apply(ops []store.DeltaOp) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

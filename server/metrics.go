@@ -18,10 +18,11 @@ type Metrics struct {
 	batchedReqs *obs.Counter
 	indexBuilds *obs.Counter
 	flushes     *obs.CounterVec // pnn_batch_flushes_total{reason=}
-	// deltaApplied counts refreshes served by the in-place delta write
-	// path; deltaFallbacks the refreshes that fell back to a generation
-	// swap, by reason ("static", "tail_gap", "kind_change",
-	// "delete_heavy") — together they make the fast path observable.
+	// deltaApplied counts refreshes that folded ops into live engines in
+	// place; deltaFallbacks the refreshes that found the name dropped
+	// and recreated behind their back and replaced the dataset whole, by
+	// what gave it away ("tail_gap": the op tail no longer reaches the
+	// registry's version; "kind_change": the kind differs).
 	deltaApplied   *obs.Counter    // pnn_delta_applied_total
 	deltaFallbacks *obs.CounterVec // pnn_delta_fallback_total{reason=}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pnn"
 	"pnn/server/engine"
@@ -64,28 +63,30 @@ func (k IndexKey) Options() ([]pnn.Option, error) {
 	return opts, nil
 }
 
+// absorbsDeltas reports whether a durable dataset serves the key
+// through a delta-applied dynamic engine. The dynamic layer rejects the
+// diagram backend (a diagram cannot answer under a merged bound), so
+// those keys get a static engine that every write retires.
+func (k IndexKey) absorbsDeltas() bool { return k.Backend != "diagram" }
+
 // Dataset is one named uncertain-point set plus its lazily built
-// engines, one per IndexKey. Mutable datasets (store-backed) swap their
-// set and bump their version atomically; the engines of the old version
-// are retired and rebuilt lazily against the new set.
+// engines, one per IndexKey. A read-only dataset serves a fixed set; a
+// durable one reads its points from the store when an engine is built,
+// and afterwards its engines absorb each committed write in place
+// (applyDelta) while the version advances.
 type Dataset struct {
 	// Name is the registry key clients address the dataset by.
 	Name string
 	// Kind is "disks", "discrete", or "squares".
 	Kind string
 
-	// durable marks a store-backed dataset: only these accept
-	// mutations (static datasets are fixed at startup).
-	durable bool
+	// set is a read-only dataset's immutable point set; st is a durable
+	// dataset's backing store. Exactly one is non-nil.
+	set pnn.UncertainSet
+	st  *store.Store
 
 	mu sync.Mutex
-	// set is the currently served point set; nil when the dataset is
-	// empty (created but no points yet) — or when the delta write path
-	// has made it stale (applyDelta clears it; durable datasets served
-	// by delta-applied engines read the store, not this cache).
-	set pnn.UncertainSet
-	// n is the current live point count, maintained across both set
-	// swaps and delta applies.
+	// n is the current live point count.
 	n int
 	// version is the dataset's monotone mutation version. It keys the
 	// result cache, so entries cached against an older version can
@@ -101,36 +102,20 @@ type indexEntry struct {
 	eng     engine.Engine
 	err     error
 	batcher *Batcher
-	// built flips true once the build has completed successfully; it is
-	// the synchronization point letting applyDelta read applied and eng
-	// without joining the once.
-	built atomic.Bool
+	// built flips true, under Dataset.mu, once publish has made the
+	// engine visible to applyDelta. Writes skip unpublished entries;
+	// publish catches them up instead.
+	built bool
 	// applied is the dataset version the engine's state reflects — set
 	// by the build (to the store version it actually read, which may be
-	// ahead of the entry's label version) and advanced by applyDelta.
-	// Mutated only pre-publication or under Dataset.mu after built.
+	// ahead of the dataset's version) and advanced by publish and
+	// applyDelta. Mutated only pre-publication or under Dataset.mu.
 	applied uint64
-}
-
-// Snapshot returns the dataset's current point set and version under
-// one lock acquisition: the pair is consistent, which is what lets
-// callers key caches by version. The set is nil when the dataset is
-// empty.
-func (d *Dataset) Snapshot() (pnn.UncertainSet, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.set, d.version
-}
-
-// Set returns the current point set (nil when empty).
-func (d *Dataset) Set() pnn.UncertainSet {
-	set, _ := d.Snapshot()
-	return set
 }
 
 // Version returns the dataset's monotone mutation version.
 func (d *Dataset) Version() uint64 {
-	_, v := d.Snapshot()
+	_, v := d.Stats()
 	return v
 }
 
@@ -142,8 +127,7 @@ func (d *Dataset) Len() int {
 
 // Stats returns the dataset's current point count and version under
 // one lock acquisition — the consistent pair the serving path keys
-// caches and emptiness checks by. Unlike Snapshot it stays accurate on
-// the delta write path, where the cached set goes stale.
+// caches and emptiness checks by.
 func (d *Dataset) Stats() (int, uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -151,111 +135,75 @@ func (d *Dataset) Stats() (int, uint64) {
 }
 
 // Durable reports whether the dataset is store-backed (mutable).
-func (d *Dataset) Durable() bool { return d.durable }
+func (d *Dataset) Durable() bool { return d.st != nil }
 
 // QueueDepth sums the requests queued in the dataset's batchers —
 // the live backpressure signal behind the pnn_queue_depth gauge.
-// Only published builds are consulted (built.Load is the
-// synchronization point for reading e.batcher without joining the
-// once), and the batchers are polled outside d.mu so a scrape never
-// contends with the serving path's lock ordering.
 func (d *Dataset) QueueDepth() int {
-	d.mu.Lock()
-	entries := make([]*indexEntry, 0, len(d.entries))
-	for _, e := range d.entries {
-		entries = append(entries, e)
-	}
-	d.mu.Unlock()
 	depth := 0
-	for _, e := range entries {
-		if e.built.Load() && e.batcher != nil {
-			depth += e.batcher.Depth()
-		}
+	for _, b := range d.batchers() {
+		depth += b.Depth()
 	}
 	return depth
 }
 
-// Indexes returns the number of engines built (or building) for the
-// current version.
+// batchers returns the batchers of the dataset's published engines.
+// They are collected under d.mu (publish sets built under it, so the
+// batcher field is safe to read) and used outside it, so a scrape or
+// Close never holds the dataset lock across batcher calls.
+func (d *Dataset) batchers() []*Batcher {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]*Batcher, 0, len(d.entries))
+	for _, e := range d.entries {
+		if e.built {
+			out = append(out, e.batcher)
+		}
+	}
+	return out
+}
+
+// Indexes returns the number of engines built (or building).
 func (d *Dataset) Indexes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
 }
 
-// update swaps in a new set under a newer version and retires the old
-// version's engines: their batchers are closed in the background
-// (pending coalesced requests flush, then further submits fail and the
-// callers retry against the new engines). Stale updates (version not
-// newer) are ignored, so concurrent refreshes can land in any order.
-func (d *Dataset) update(set pnn.UncertainSet, version uint64) {
+// applyDelta folds committed mutations into the dataset's published
+// engines and bumps the version in place, so batchers keep draining
+// and caches key naturally off the new version. An engine that refuses
+// the delta — a static diagram engine, or a dynamic one whose Apply
+// failed — is dropped from the map before the bump and rebuilt on its
+// next query; queries already holding it finish on it, since its state
+// is never older than the version they read. Unpublished dynamic builds
+// are left alone (publish catches them up); unpublished diagram builds
+// are dropped like published ones, because their engine could never
+// catch up. Per-engine `applied` filtering keeps an engine whose build
+// already read a newer store state from replaying ops twice. Stale
+// deltas (version not newer) are ignored.
+func (d *Dataset) applyDelta(info store.DatasetInfo, ops []store.DeltaOp) {
 	d.mu.Lock()
-	if version <= d.version {
-		d.mu.Unlock()
+	defer d.mu.Unlock()
+	if info.Version <= d.version {
 		return
-	}
-	old := d.entries
-	d.set = set
-	d.n = setLen(set)
-	d.version = version
-	d.entries = make(map[IndexKey]*indexEntry)
-	d.mu.Unlock()
-	go closeEntries(old)
-}
-
-func setLen(set pnn.UncertainSet) int {
-	if set == nil {
-		return 0
-	}
-	return set.Len()
-}
-
-// applyDelta folds committed mutations into the dataset's live engines
-// and bumps the version in place — no generation swap, so batchers
-// keep draining and caches key naturally off the new version. Engines
-// that cannot absorb the delta are retired individually and rebuilt
-// lazily on their next query: static engines (Apply demands a
-// rebuild), builds still in flight (they read the store directly and
-// may predate these ops without being patchable), and engines whose
-// Apply failed. Per-engine `applied` filtering keeps an engine whose
-// build already read a newer store state from replaying ops twice.
-// Stale deltas (version not newer) are ignored.
-func (d *Dataset) applyDelta(version uint64, n int, ops []store.DeltaOp) {
-	d.mu.Lock()
-	if version <= d.version {
-		d.mu.Unlock()
-		return
-	}
-	var retired map[IndexKey]*indexEntry
-	retire := func(key IndexKey, e *indexEntry) {
-		if retired == nil {
-			retired = make(map[IndexKey]*indexEntry)
-		}
-		retired[key] = e
-		delete(d.entries, key)
 	}
 	for key, e := range d.entries {
-		if !e.built.Load() {
-			retire(key, e)
+		if !e.built {
+			if !key.absorbsDeltas() {
+				delete(d.entries, key)
+			}
 			continue
 		}
 		if err := e.eng.Apply(opsAfter(ops, e.applied)); err != nil {
-			retire(key, e)
+			delete(d.entries, key)
 			continue
 		}
-		if version > e.applied {
-			e.applied = version
+		if info.Version > e.applied {
+			e.applied = info.Version
 		}
 	}
-	// The cached set predates these ops; durable datasets on the delta
-	// path are rebuilt from the store, never from this cache.
-	d.set = nil
-	d.n = n
-	d.version = version
-	d.mu.Unlock()
-	if retired != nil {
-		go closeEntries(retired)
-	}
+	d.n, d.version = info.N, info.Version
 }
 
 // opsAfter returns the suffix of ops with Seq > applied (ops are in
@@ -268,22 +216,6 @@ func opsAfter(ops []store.DeltaOp, applied uint64) []store.DeltaOp {
 	return ops[i:]
 }
 
-// closeEntries gracefully closes every built batcher of a retired
-// engine generation, flushing pending requests. The empty once.Do
-// synchronizes with an in-flight build (entry fields are written
-// inside the entry's once): it blocks until a running build finishes,
-// or claims a not-yet-started build's slot outright — the creator's
-// own once.Do then no-ops, leaving the entry with neither error nor
-// batcher, which answer treats as one more stale-generation retry.
-func closeEntries(entries map[IndexKey]*indexEntry) {
-	for _, e := range entries {
-		e.once.Do(func() {})
-		if e.batcher != nil {
-			e.batcher.Close()
-		}
-	}
-}
-
 // ErrTooManyEngines rejects a request that would build yet another
 // engine configuration once the per-dataset cap is reached. Engine
 // keys include client-controlled parameters (seed, eps, …), so without
@@ -291,25 +223,20 @@ func closeEntries(entries map[IndexKey]*indexEntry) {
 // bound.
 var ErrTooManyEngines = errors.New("server: too many engine configurations for dataset")
 
-// errStaleVersion reports that the dataset was mutated between the
-// caller's snapshot and its engine lookup; the caller re-reads and
-// retries.
-var errStaleVersion = errors.New("server: dataset version changed")
+// errBuildOutpaced fails an engine build that fell further behind its
+// dataset than the store's retained op tail reaches: it can no longer
+// catch up, and the next query builds afresh.
+var errBuildOutpaced = errors.New("server: dataset mutated past the engine build's catch-up window")
 
-// entry returns the dataset's engine for key at the given version,
-// creating the slot on first use (up to maxEngines slots; maxEngines
-// ≤ 0 means unlimited). It fails with errStaleVersion when the dataset
-// has moved past version — the caller's set snapshot no longer matches
-// the entries generation. build is invoked at most once per key,
-// outside the dataset lock (index construction can be slow); a panic
-// inside build is captured into the entry's error rather than
-// poisoning the slot.
-func (d *Dataset) entry(key IndexKey, version uint64, maxEngines int, build func(*indexEntry)) (*indexEntry, error) {
+// entry returns the dataset's engine for key, creating the slot on
+// first use (up to maxEngines slots; maxEngines ≤ 0 means unlimited).
+// build is invoked at most once per slot, outside the dataset lock
+// (index construction can be slow), and publish then makes its result
+// visible to applyDelta; a panic inside build is captured into the
+// entry's error rather than poisoning the slot. Every caller that
+// waited on a failed build gets its error.
+func (d *Dataset) entry(key IndexKey, maxEngines int, build func(*indexEntry) error) (*indexEntry, error) {
 	d.mu.Lock()
-	if d.version != version {
-		d.mu.Unlock()
-		return nil, errStaleVersion
-	}
 	e, ok := d.entries[key]
 	if !ok {
 		if maxEngines > 0 && len(d.entries) >= maxEngines {
@@ -323,18 +250,13 @@ func (d *Dataset) entry(key IndexKey, version uint64, maxEngines int, build func
 	e.once.Do(func() {
 		defer func() {
 			if r := recover(); r != nil {
-				e.eng, e.batcher = nil, nil
 				e.err = fmt.Errorf("server: building %s engine: panic: %v", key, r)
 			}
 		}()
-		build(e)
+		if e.err = build(e); e.err == nil {
+			e.err = d.publish(key, e)
+		}
 	})
-	if e.err == nil && e.eng != nil {
-		// Publish the build to applyDelta, which must not join the once
-		// under the dataset lock. Re-storing on later lookups is
-		// harmless.
-		e.built.Store(true)
-	}
 	if e.err != nil {
 		// A failed build must not occupy a cap slot forever (cheap
 		// failing configurations could otherwise lock the dataset out
@@ -345,18 +267,57 @@ func (d *Dataset) entry(key IndexKey, version uint64, maxEngines int, build func
 			delete(d.entries, key)
 		}
 		d.mu.Unlock()
+		return nil, e.err
 	}
 	return e, nil
 }
 
-// closeBatchers gracefully closes every built batcher of the current
-// generation, flushing pending requests.
-func (d *Dataset) closeBatchers() {
+// publish makes a finished build visible to applyDelta. Writes whose
+// refresh ran during the build skipped the entry, so a build that read
+// the store behind the dataset's version first folds in everything the
+// store committed since its read. An entry no longer in the map is a
+// diagram build a write retired while it ran: it serves only the
+// queries that joined it, none of which read a version past its state.
+func (d *Dataset) publish(key IndexKey, e *indexEntry) error {
 	d.mu.Lock()
-	entries := d.entries
-	d.entries = make(map[IndexKey]*indexEntry)
-	d.mu.Unlock()
-	closeEntries(entries)
+	defer d.mu.Unlock()
+	if d.entries[key] != e {
+		return nil
+	}
+	if d.st != nil && e.applied < d.version {
+		info, ops, ok, err := d.st.OpsSince(d.Name, e.applied)
+		if err = d.sameIncarnation(info, err); err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%w (built at version %d, dataset at %d)", errBuildOutpaced, e.applied, d.version)
+		}
+		if err := e.eng.Apply(ops); err != nil {
+			return err
+		}
+		e.applied = info.Version
+	}
+	e.built = true
+	return nil
+}
+
+// sameIncarnation checks a store read against the dataset: a read that
+// finds the name dropped, or recreated under another kind, means the
+// dataset the query resolved is gone, and the query answers 404
+// unknown_dataset as if it had arrived after the drop.
+func (d *Dataset) sameIncarnation(info store.DatasetInfo, err error) error {
+	if err == nil && info.Kind != d.Kind {
+		err = fmt.Errorf("%w: %q was recreated as %s", store.ErrUnknownDataset, d.Name, info.Kind)
+	}
+	return err
+}
+
+// closeBatchers gracefully closes the batchers of every published
+// engine, flushing pending requests.
+func (d *Dataset) closeBatchers() {
+	for _, b := range d.batchers() {
+		b.Close()
+	}
 }
 
 // Registry is the server's set of named datasets. It is safe for
@@ -382,108 +343,38 @@ func (r *Registry) Add(name string, set pnn.UncertainSet) error {
 	if set == nil || set.Len() == 0 {
 		return fmt.Errorf("dataset %q is empty", name)
 	}
-	return r.add(&Dataset{
-		Name: name, Kind: kindOf(set),
-		set: set, n: set.Len(), version: 1,
-		entries: make(map[IndexKey]*indexEntry),
-	})
-}
-
-// AddDurable registers a store-backed (mutable) dataset with an
-// explicit kind and version; set may be nil for an empty dataset.
-func (r *Registry) AddDurable(name, kind string, set pnn.UncertainSet, version uint64) error {
-	if name == "" {
-		return fmt.Errorf("empty dataset name")
-	}
-	return r.add(newDurableDataset(name, kind, set, version))
-}
-
-func newDurableDataset(name, kind string, set pnn.UncertainSet, version uint64) *Dataset {
-	return &Dataset{
-		Name: name, Kind: kind, durable: true,
-		set: set, n: setLen(set), version: version,
-		entries: make(map[IndexKey]*indexEntry),
-	}
-}
-
-func (r *Registry) add(d *Dataset) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.datasets[d.Name]; dup {
-		return fmt.Errorf("duplicate dataset %q", d.Name)
+	if _, dup := r.datasets[name]; dup {
+		return fmt.Errorf("duplicate dataset %q", name)
 	}
-	r.datasets[d.Name] = d
+	r.datasets[name] = &Dataset{
+		Name: name, Kind: kindOf(set), set: set, n: set.Len(), version: 1,
+		entries: make(map[IndexKey]*indexEntry),
+	}
 	return nil
 }
 
-// Upsert registers a durable dataset or, when it already exists, swaps
-// in the new set at the new version (stale versions are ignored). A
-// newer version under a different kind means the name was dropped and
-// recreated as a different dataset between refreshes — the entry is
-// replaced wholesale, since Dataset.update deliberately never changes
-// Kind (an older-kind refresh must not relabel the current data). The
-// whole decision runs under r.mu — releasing it between the lookup and
-// the version-checked apply would let a concurrent kind-change replace
-// the map entry while a same-kind caller updates the detached object,
-// silently losing the newer version. (Lock order r.mu → d.mu; nothing
-// acquires them the other way around.)
-func (r *Registry) Upsert(name, kind string, set pnn.UncertainSet, version uint64) {
+// put registers a durable dataset at the store state info describes,
+// replacing whatever the name held: a fresh Dataset with no engines.
+func (r *Registry) put(st *store.Store, info store.DatasetInfo) {
+	d := &Dataset{
+		Name: info.Name, Kind: info.Kind, st: st, n: info.N, version: info.Version,
+		entries: make(map[IndexKey]*indexEntry),
+	}
 	r.mu.Lock()
-	d, ok := r.datasets[name]
-	switch {
-	case !ok:
-		r.datasets[name] = newDurableDataset(name, kind, set, version)
-		r.mu.Unlock()
-	case d.Kind != kind:
-		if version <= d.Version() {
-			r.mu.Unlock()
-			return // stale refresh from before the drop+recreate
-		}
-		r.datasets[name] = newDurableDataset(name, kind, set, version)
-		r.mu.Unlock()
-		go d.closeBatchers()
-	default:
-		// update takes d.mu only briefly (map swap; the batcher close is
-		// backgrounded), so holding r.mu across it is cheap.
-		d.update(set, version)
-		r.mu.Unlock()
-	}
+	r.datasets[d.Name] = d
+	r.mu.Unlock()
 }
 
-// ApplyDelta folds committed mutations into the named durable
-// dataset's live engines and bumps its version in place — the delta
-// write path, skipping both the full set copy and the engine
-// generation swap Upsert pays. It reports false when the delta cannot
-// be applied against the registered entry — the name is absent, not
-// durable, or registered under a different kind (dropped and
-// recreated between refreshes) — and the caller must fall back to a
-// full Upsert swap. Callers serialize refreshes per name (the server's
-// refresh lock), so ApplyDelta never races a kind-changing Upsert on
-// the same dataset.
-func (r *Registry) ApplyDelta(name, kind string, version uint64, n int, ops []store.DeltaOp) bool {
-	r.mu.RLock()
-	d := r.datasets[name]
-	r.mu.RUnlock()
-	if d == nil || !d.durable || d.Kind != kind {
-		return false
-	}
-	d.applyDelta(version, n, ops)
-	return true
-}
-
-// Remove unregisters a dataset and closes its batchers in the
-// background (pending requests flush, and the close joins any
-// in-flight engine build — see closeEntries — which can take seconds;
-// the drop path must not stall on it). It reports whether the name was
-// present.
+// Remove unregisters a dataset and reports whether the name was
+// present. Queries already holding its engines finish on them; only
+// Server.Close closes batchers (an idle batcher holds no goroutine).
 func (r *Registry) Remove(name string) bool {
 	r.mu.Lock()
-	d, ok := r.datasets[name]
+	defer r.mu.Unlock()
+	_, ok := r.datasets[name]
 	delete(r.datasets, name)
-	r.mu.Unlock()
-	if ok {
-		go d.closeBatchers()
-	}
 	return ok
 }
 

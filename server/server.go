@@ -50,24 +50,13 @@ type Config struct {
 	// mutable: the mutation endpoints (PUT/DELETE /v1/datasets/{name},
 	// POST .../points, DELETE .../points/{id}, POST .../snapshot) write
 	// through it, and its datasets are loaded into the registry at New.
-	// Without a store the mutation endpoints answer 409 read_only.
+	// Durable datasets are served by delta-applied pnn.DynamicIndex
+	// engines: a write folds into live engines in place, costing
+	// amortized O(log n) instead of a full rebuild per engine. Requests
+	// with backend=diagram get a static engine (a diagram cannot answer
+	// under a merged bound), rebuilt after each write. Without a store
+	// the mutation endpoints answer 409 read_only.
 	Store *store.Store
-	// EngineMode selects how durable datasets are served. EngineDynamic
-	// (the default) backs them with delta-applied pnn.DynamicIndex
-	// engines: a write flows to live engines as a mutation delta,
-	// costing amortized O(log n) instead of a full rebuild per engine.
-	// EngineStatic restores the pre-delta behavior — every write swaps
-	// the engine generation and rebuilds lazily. Requests with
-	// backend=diagram always get a static engine (a diagram cannot
-	// answer under a merged bound), rebuilt per write.
-	EngineMode string
-	// DeltaCompactFraction bounds delete-heavy deltas on the dynamic
-	// path: when one refresh carries more deletes than this fraction of
-	// the dataset's live points (and at least deltaCompactMin of them),
-	// the refresh falls back to a generation swap so tombstone-heavy
-	// engines are rebuilt compactly instead of patched. 0 means the
-	// default (0.25); < 0 disables the fallback (always apply deltas).
-	DeltaCompactFraction float64
 	// AdminToken guards the mutation endpoints: requests must carry
 	// "Authorization: Bearer <AdminToken>". Empty means the mutation
 	// endpoints are disabled (403) even with a store — the admin
@@ -96,21 +85,6 @@ type Config struct {
 	TraceBuffer int
 }
 
-// EngineMode values.
-const (
-	// EngineDynamic serves durable datasets through delta-applied
-	// dynamic engines (the default).
-	EngineDynamic = "dynamic"
-	// EngineStatic serves durable datasets through rebuild-on-write
-	// static engines (the pre-delta write path).
-	EngineStatic = "static"
-)
-
-// deltaCompactMin is the minimum number of deletes in one refresh
-// before DeltaCompactFraction can force a swap: point-at-a-time churn
-// on tiny datasets must never degenerate into rebuild-per-delete.
-const deltaCompactMin = 4
-
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{
@@ -120,8 +94,6 @@ func DefaultConfig() Config {
 		RequestTimeout:       30 * time.Second,
 		MaxEnginesPerDataset: 32,
 		SlowQueryThreshold:   time.Second,
-		EngineMode:           EngineDynamic,
-		DeltaCompactFraction: 0.25,
 		TraceBuffer:          obs.DefaultTraceBuffer,
 	}
 }
@@ -161,15 +133,6 @@ func (c Config) withDefaults() Config {
 	case c.SlowQueryThreshold == 0:
 		c.SlowQueryThreshold = d.SlowQueryThreshold
 	}
-	if c.EngineMode == "" {
-		c.EngineMode = d.EngineMode
-	}
-	switch {
-	case c.DeltaCompactFraction < 0:
-		c.DeltaCompactFraction = 0
-	case c.DeltaCompactFraction == 0:
-		c.DeltaCompactFraction = d.DeltaCompactFraction
-	}
 	if c.TraceBuffer == 0 {
 		c.TraceBuffer = d.TraceBuffer
 	}
@@ -189,23 +152,22 @@ type Server struct {
 	handler http.Handler
 	// refreshLocks serializes refreshDataset per dataset name: the
 	// read-store-then-update-registry sequence is not atomic, so
-	// without it a slow refresh from an older mutation could Upsert
-	// after a concurrent drop's Remove and resurrect a ghost dataset.
-	// Entries are refcounted and reclaimed when idle (see lockRefresh).
+	// without it a slow refresh from an older mutation could register
+	// the dataset after a concurrent drop's Remove and resurrect a
+	// ghost. Entries are refcounted and reclaimed when idle (see
+	// lockRefresh).
 	refreshMu    sync.Mutex
 	refreshLocks map[string]*refreshLock
-	// closed distinguishes a batcher drained by Close (late queries
-	// must fail) from one drained by an engine swap (the query retries
-	// against the new generation).
+	// closed stops new engine builds once Close has drained the
+	// batchers: late uncached queries fail instead of building.
 	closed atomic.Bool
 }
 
 // New builds a server over reg. Static datasets must be registered
-// before New; when cfg.Store is set its datasets are loaded into reg
-// here and stay mutable through the admin endpoints (an error loading
-// one is returned from the first query instead — New itself never
-// fails, so a server can come up and report /healthz while an operator
-// investigates).
+// before New; when cfg.Store is set its datasets are registered here
+// and stay mutable through the admin endpoints. Their engines are
+// built from the store on each configuration's first query, so New
+// itself never fails or reads a point.
 func New(reg *Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -238,12 +200,8 @@ func New(reg *Registry, cfg Config) *Server {
 	})
 	if cfg.Store != nil {
 		s.metrics.reg.Register(cfg.Store.Collectors()...)
-		for _, name := range cfg.Store.Names() {
-			info, set, err := cfg.Store.View(name)
-			if err != nil {
-				continue // surfaces as empty_dataset / unknown until fixed
-			}
-			reg.Upsert(name, info.Kind, set, info.Version)
+		for _, info := range cfg.Store.Infos() {
+			reg.put(cfg.Store, info)
 		}
 	}
 	mux := http.NewServeMux()
@@ -383,147 +341,113 @@ type queryError struct {
 // returned body has no trailing newline (writeRaw appends one).
 //
 // Mutations race with queries by design: the cache key carries the
-// dataset version read together with the set snapshot, so a stale
-// cache line can never answer a post-write query, and a query that
-// loses its engine generation mid-flight (errStaleVersion from the
-// lookup, or ErrBatcherClosed from a batcher drained by the swap)
-// retries against the new generation.
+// dataset version read with the point count, so a stale cache line can
+// never answer a post-write query. The engine a query picks is never
+// older than that version — writes fold into it in place, or retire it
+// for the next query while this one finishes on it — so an answer may
+// reflect a write committed after the query began, but never loses one.
 func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, cacheStatus string, qerr *queryError) {
-	const maxSwapRetries = 4
-	var lastErr error
+	total := obs.StartTimer()
+	ds := s.reg.Get(p.dataset)
+	if ds == nil {
+		return nil, "", &queryError{http.StatusNotFound, api.CodeUnknownDataset,
+			fmt.Errorf("unknown dataset %q", p.dataset)}
+	}
 	// Per-dataset latency is observed only for names the registry
 	// resolves, so the label cardinality is bounded by hosted datasets,
 	// never by client-chosen strings.
-	total := obs.StartTimer()
-	resolved := false
-	defer func() {
-		if resolved {
-			s.metrics.dsLatency.With(p.dataset).ObserveDuration(total.Total())
-		}
-	}()
-	for attempt := 0; attempt < maxSwapRetries; attempt++ {
-		ds := s.reg.Get(p.dataset)
-		if ds == nil {
-			return nil, "", &queryError{http.StatusNotFound, api.CodeUnknownDataset,
-				fmt.Errorf("unknown dataset %q", p.dataset)}
-		}
-		resolved = true
-		n, version := ds.Stats()
-		if n == 0 {
-			return nil, "", &queryError{http.StatusConflict, api.CodeEmptyDataset,
-				fmt.Errorf("dataset %q has no points yet", p.dataset)}
-		}
-		cacheKey := p.cacheKey(op, version)
-		span := obs.LeafSpan(ctx, "cache")
-		probe := obs.StartTimer()
-		body, ok := s.cache.Get(cacheKey)
-		s.metrics.stages.With("cache").ObserveDuration(probe.Total())
-		if ok {
-			span.SetAttr("cache", "hit")
-			span.End()
-			s.metrics.cacheHits.Inc()
-			return body, "hit", nil
-		}
-		span.SetAttr("cache", "miss")
-		span.End()
-		s.metrics.cacheMisses.Inc()
-		if s.closed.Load() {
-			// The cache may outlive Close and keep answering hits, but
-			// no new engine is ever built for a closed server.
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, ErrBatcherClosed}
-		}
-		entry, err := ds.entry(p.key, version, s.cfg.MaxEnginesPerDataset, func(e *indexEntry) {
-			s.buildEngine(ctx, e, ds, p.key, version)
-		})
-		if err != nil {
-			if errors.Is(err, errStaleVersion) {
-				lastErr = err
-				continue
-			}
-			if errors.Is(err, ErrTooManyEngines) {
-				return nil, "", &queryError{http.StatusTooManyRequests, api.CodeTooManyEngines, err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-		}
-		if entry.err != nil {
-			if errors.Is(entry.err, errStaleVersion) {
-				// The store moved (or dropped the dataset) between our
-				// snapshot and the build's authoritative read; retry.
-				lastErr = entry.err
-				continue
-			}
-			if errors.Is(entry.err, pnn.ErrUnsupported) {
-				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, entry.err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, entry.err}
-		}
-		if entry.batcher == nil {
-			// Neither error nor engine: the generation was retired before
-			// our build ran, and closeEntries claimed the build slot (see
-			// closeEntries). Retry against the new generation, exactly as
-			// for a batcher drained mid-flight.
-			lastErr = ErrBatcherClosed
-			continue
-		}
-		res, err := entry.batcher.Submit(ctx, p.request(op))
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrBatcherClosed):
-				if s.closed.Load() {
-					// Close drained the batchers for good; don't rebuild.
-					return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-				}
-				// The engine generation was swapped out by a mutation
-				// while we queued; retry against the new one.
-				lastErr = err
-				continue
-			case errors.Is(err, context.DeadlineExceeded):
-				return nil, "", &queryError{http.StatusGatewayTimeout, api.CodeTimeout, err}
-			case errors.Is(err, context.Canceled):
-				// The client went away mid-request; 499 (nginx's "client
-				// closed request") keeps these out of server-timeout
-				// dashboards. Nobody reads the response body.
-				return nil, "", &queryError{499, api.CodeCanceled, err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-		}
-		if res.Err != nil {
-			if errors.Is(res.Err, pnn.ErrUnsupported) {
-				return nil, "", &queryError{http.StatusBadRequest, api.CodeUnsupported, res.Err}
-			}
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, res.Err}
-		}
-		encSpan := obs.LeafSpan(ctx, "encode")
-		enc := obs.StartTimer()
-		body, err = json.Marshal(p.response(op, ds, entry.eng, res))
-		s.metrics.stages.With("encode").ObserveDuration(enc.Total())
-		encSpan.End()
-		if err != nil {
-			return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
-		}
-		s.cache.Put(cacheKey, body)
-		return body, "miss", nil
+	defer func() { s.metrics.dsLatency.With(p.dataset).ObserveDuration(total.Total()) }()
+	n, version := ds.Stats()
+	if n == 0 {
+		return nil, "", &queryError{http.StatusConflict, api.CodeEmptyDataset,
+			fmt.Errorf("dataset %q has no points yet", p.dataset)}
 	}
-	return nil, "", &queryError{http.StatusServiceUnavailable, api.CodeUnavailable,
-		fmt.Errorf("dataset %q is being mutated too rapidly: %w", p.dataset, lastErr)}
+	cacheKey := p.cacheKey(op, version)
+	span := obs.LeafSpan(ctx, "cache")
+	probe := obs.StartTimer()
+	body, ok := s.cache.Get(cacheKey)
+	s.metrics.stages.With("cache").ObserveDuration(probe.Total())
+	if ok {
+		span.SetAttr("cache", "hit")
+		span.End()
+		s.metrics.cacheHits.Inc()
+		return body, "hit", nil
+	}
+	span.SetAttr("cache", "miss")
+	span.End()
+	s.metrics.cacheMisses.Inc()
+	if s.closed.Load() {
+		// The cache may outlive Close and keep answering hits, but
+		// no new engine is ever built for a closed server.
+		return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, ErrBatcherClosed}
+	}
+	entry, err := ds.entry(p.key, s.cfg.MaxEnginesPerDataset, func(e *indexEntry) error {
+		return s.buildEngine(ctx, e, ds, p.key)
+	})
+	if err != nil {
+		return nil, "", failure(err)
+	}
+	res, err := entry.batcher.Submit(ctx, p.request(op))
+	if err == nil {
+		err = res.Err
+	}
+	if err != nil {
+		return nil, "", failure(err)
+	}
+	encSpan := obs.LeafSpan(ctx, "encode")
+	enc := obs.StartTimer()
+	body, err = json.Marshal(p.response(op, ds, entry.eng, res))
+	s.metrics.stages.With("encode").ObserveDuration(enc.Total())
+	encSpan.End()
+	if err != nil {
+		return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
+	}
+	s.cache.Put(cacheKey, body)
+	return body, "miss", nil
 }
 
-// buildEngine constructs one entry's engine and batcher. Durable
-// datasets build from an authoritative store read taken here — under
-// EngineDynamic a delta-applicable dynamic engine (except for
-// backend=diagram, which no dynamic engine can serve), otherwise a
-// static one. The store may already be ahead of the entry's label
-// version; e.applied records the version actually read, so applyDelta
-// never replays ops the build already saw. Non-durable datasets build
-// statically from the registry's immutable set, exactly as before the
-// delta path existed. Store reads that fail or disagree with the
-// registry's kind (a concurrent drop or drop+recreate) surface as
-// errStaleVersion, which the answer loop treats as one more retry.
-func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, key IndexKey, version uint64) {
+// failure maps an engine build, batcher, or per-request error onto its
+// transport status and stable api code.
+func failure(err error) *queryError {
+	switch {
+	case errors.Is(err, ErrTooManyEngines):
+		return &queryError{http.StatusTooManyRequests, api.CodeTooManyEngines, err}
+	case errors.Is(err, store.ErrUnknownDataset):
+		return &queryError{http.StatusNotFound, api.CodeUnknownDataset, err}
+	case errors.Is(err, errEmptyDataset):
+		return &queryError{http.StatusConflict, api.CodeEmptyDataset, err}
+	case errors.Is(err, errBuildOutpaced):
+		return &queryError{http.StatusServiceUnavailable, api.CodeUnavailable, err}
+	case errors.Is(err, pnn.ErrUnsupported):
+		return &queryError{http.StatusBadRequest, api.CodeUnsupported, err}
+	case errors.Is(err, context.DeadlineExceeded):
+		return &queryError{http.StatusGatewayTimeout, api.CodeTimeout, err}
+	case errors.Is(err, context.Canceled):
+		// The client went away mid-request; 499 (nginx's "client
+		// closed request") keeps these out of server-timeout
+		// dashboards. Nobody reads the response body.
+		return &queryError{499, api.CodeCanceled, err}
+	default:
+		return &queryError{http.StatusInternalServerError, api.CodeInternal, err}
+	}
+}
+
+// errEmptyDataset fails a diagram engine build whose store read found
+// every point deleted after the query saw some.
+var errEmptyDataset = errors.New("server: dataset has no points left")
+
+// buildEngine constructs one entry's engine and batcher. A durable
+// dataset builds from its own store read — a delta-applicable dynamic
+// engine, except for backend=diagram, which no dynamic engine can
+// serve — and records the version it read in e.applied, from which
+// publish catches the engine up. A read that finds the dataset dropped
+// or recreated under another kind fails the build with
+// store.ErrUnknownDataset. A read-only dataset builds statically from
+// its immutable set.
+func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, key IndexKey) error {
 	opts, err := key.Options()
 	if err != nil {
-		e.err = err
-		return
+		return err
 	}
 	s.metrics.indexBuilds.Inc()
 	// The build runs under the entry's once, so only the first request
@@ -536,42 +460,35 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 	build := obs.StartTimer()
 	defer func() { s.metrics.stages.With("build").ObserveDuration(build.Total()) }()
 	switch {
-	case ds.Durable() && s.cfg.Store != nil && s.cfg.EngineMode == EngineDynamic && key.Backend != "diagram":
-		info, ids, pts, err := s.cfg.Store.PointsView(ds.Name)
-		if err != nil || info.Kind != ds.Kind {
-			e.err = fmt.Errorf("store read during engine build (%v): %w", err, errStaleVersion)
-			return
+	case ds.st != nil && key.absorbsDeltas():
+		info, ids, pts, err := ds.st.PointsView(ds.Name)
+		if err = ds.sameIncarnation(info, err); err != nil {
+			return err
 		}
 		eng, err := engine.BuildDynamic(ids, pts, opts)
 		if err != nil {
-			e.err = err
-			return
+			return err
 		}
 		e.eng, e.applied = eng, info.Version
-	case ds.Durable() && s.cfg.Store != nil:
-		info, set, err := s.cfg.Store.View(ds.Name)
-		if err != nil || info.Kind != ds.Kind || set == nil {
-			e.err = fmt.Errorf("store read during engine build (%v): %w", err, errStaleVersion)
-			return
+	case ds.st != nil:
+		info, set, err := ds.st.View(ds.Name)
+		if err = ds.sameIncarnation(info, err); err != nil {
+			return err
+		}
+		if set == nil {
+			return fmt.Errorf("dataset %q: %w", ds.Name, errEmptyDataset)
 		}
 		ix, err := pnn.New(set, opts...)
 		if err != nil {
-			e.err = err
-			return
+			return err
 		}
 		e.eng, e.applied = engine.NewStatic(ix), info.Version
 	default:
-		set := ds.Set()
-		if set == nil {
-			e.err = errStaleVersion
-			return
-		}
-		ix, err := pnn.New(set, opts...)
+		ix, err := pnn.New(ds.set, opts...)
 		if err != nil {
-			e.err = err
-			return
+			return err
 		}
-		e.eng, e.applied = engine.NewStatic(ix), version
+		e.eng = engine.NewStatic(ix)
 	}
 	e.batcher = NewBatcher(e.eng, s.cfg.BatchWindow, s.cfg.BatchMaxSize,
 		s.cfg.BatchWorkers, s.metrics.flush)
@@ -587,6 +504,7 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		},
 		s.metrics.stages.With("execute").ObserveDuration,
 	)
+	return nil
 }
 
 // params is one parsed query request.
