@@ -1,7 +1,7 @@
 # Convenience targets over the CI gates. scripts/check.sh is the
 # single source of truth for what "clean" means; the CI jobs and
 # `make check` both run it piecewise.
-.PHONY: check race test pnnvet smoke load coverage experiments
+.PHONY: check race test pnnvet smoke load coverage experiments bench
 
 check:
 	./scripts/check.sh
@@ -29,3 +29,12 @@ coverage:
 
 experiments:
 	./scripts/experiments.sh
+
+# The CI bench job's gate, locally: a quick microbench run into a temp
+# dir, diffed against the committed bench/ baseline at benchdiff's
+# default tolerances.
+bench:
+	@dir=$$(mktemp -d) && \
+	go run ./cmd/pnnbench -experiment microbench -quick -json "$$dir" && \
+	go run ./cmd/benchdiff -base bench -new "$$dir" -v; \
+	status=$$?; rm -rf "$$dir"; exit $$status

@@ -860,15 +860,7 @@ func expMicrobench() {
 	mc := quantify.NewMonteCarloDiscrete(dpts, 200, r)
 	pqs := workload.QueryPoints(r, 256, workload.DiscreteBBox(dpts))
 
-	fpts := make([]pnn.DiscretePoint, np)
-	for i, p := range dpts {
-		dp := pnn.DiscretePoint{Weights: append([]float64(nil), p.W...)}
-		for _, l := range p.Locs {
-			dp.Locations = append(dp.Locations, pnn.Pt(l.X, l.Y))
-		}
-		fpts[i] = dp
-	}
-	fset, err := pnn.NewDiscreteSet(fpts)
+	fset, err := pnn.NewDiscreteSet(facadePoints(dpts))
 	if err != nil {
 		panic(err)
 	}
@@ -924,6 +916,23 @@ func expMicrobench() {
 	if *quick {
 		dynN = 500
 	}
+
+	// The exact engine at the benchmark dataset's shape (10k points,
+	// k = 4, uniform weights, radius 3 in a 100×100 extent) in both
+	// modes: the Lemma 2.1 window kernel's cost depends on the window,
+	// which only shows at this density. Its own generator keeps r's
+	// stream, and with it every other row's data, unchanged.
+	xr := rng()
+	xpts := workload.RandomDiscrete(xr, 10000, 4, 100, 3, 1)
+	xset, err := pnn.NewDiscreteSet(facadePoints(xpts))
+	if err != nil {
+		panic(err)
+	}
+	xidx, err := pnn.New(xset)
+	if err != nil {
+		panic(err)
+	}
+	xqs := workload.QueryPoints(xr, 256, workload.DiscreteBBox(xpts))
 
 	benches := []struct {
 		name   string
@@ -982,6 +991,14 @@ func expMicrobench() {
 		{"exact-sweep", map[string]any{"n": np, "k": kp}, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				quantify.ExactAll(dpts, pqs[i%len(pqs)])
+			}
+		}},
+		{"exact-topk", map[string]any{"n": xset.Len(), "k": 4, "topk": 3}, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := xqs[i%len(xqs)]
+				if _, err := xidx.TopK(pnn.Pt(q.X, q.Y), 3); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"spiral-0.05", map[string]any{"n": np, "k": kp, "eps": 0.05}, func(b *testing.B) {
@@ -1151,6 +1168,76 @@ func expMicrobench() {
 			Bytes:  delta.AllocedBytesPerOp(),
 		})
 	}
+
+	// A write's real cost on a quantification read path: one insert plus
+	// the TopK after it, which pays the dynamic view rebuild the insert
+	// forced. A fresh index of writeN points (the one above has grown by
+	// every write-apply op) grows by one point per op. The static side
+	// is a full pnn.New over writeN points plus the same TopK.
+	qdyn, err := pnn.NewDynamic()
+	if err != nil {
+		panic(err)
+	}
+	for _, p := range wpts {
+		if _, err := qdyn.InsertDiscrete(p); err != nil {
+			panic(err)
+		}
+	}
+	wq := func(i int) pnn.Point {
+		return pnn.Pt(float64(i%16)*wspan/16, float64(i/16%16)*wspan/16)
+	}
+	static := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			idx, err := pnn.New(wset)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := idx.TopK(wq(i), 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	wtq := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := qdyn.InsertDiscrete(wpoint()); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := qdyn.TopK(wq(i), 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	ratio := float64(static.NsPerOp()) / float64(wtq.NsPerOp())
+	fmt.Printf("%-23s %-12d %-10d %d   (static New+TopK %d ns/op, %.0fx)\n",
+		"write-then-quantify", wtq.NsPerOp(), wtq.AllocsPerOp(), wtq.AllocedBytesPerOp(),
+		static.NsPerOp(), ratio)
+	if *jsonDir != "" {
+		writeBenchRecord(benchRecord{
+			Name: "micro-write-then-quantify",
+			Params: map[string]any{
+				"quick": *quick, "seed": *seed, "n": writeN, "topk": 3,
+				"static_ns_op": static.NsPerOp(), "speedup": ratio,
+			},
+			NsOp:   wtq.NsPerOp(),
+			Ops:    int64(wtq.N),
+			Allocs: wtq.AllocsPerOp(),
+			Bytes:  wtq.AllocedBytesPerOp(),
+		})
+	}
+}
+
+// facadePoints converts generated discrete points to the facade's
+// point type (weights copied).
+func facadePoints(pts []*dist.Discrete) []pnn.DiscretePoint {
+	out := make([]pnn.DiscretePoint, len(pts))
+	for i, p := range pts {
+		dp := pnn.DiscretePoint{Weights: append([]float64(nil), p.W...)}
+		for _, l := range p.Locs {
+			dp.Locations = append(dp.Locations, pnn.Pt(l.X, l.Y))
+		}
+		out[i] = dp
+	}
+	return out
 }
 
 // E21 — ablation: polyline flattening density vs diagram-query agreement

@@ -48,11 +48,14 @@
 // TopK, Threshold, and PositiveProbabilities never materialize the
 // N-length probability vector when the engine has a sparse answer: a
 // Monte Carlo estimator reports at most s positive estimates (Theorem
-// 4.3) and spiral search inspects only the m(ρ,ε) nearest locations
-// (Theorem 4.7), so those engines answer ranked and filtered queries in
-// output-sized allocations — typically one allocation per call, for the
-// caller-owned result. Exact engines compute the dense vector into
-// pooled scratch and filter it. The sparse and dense paths are
+// 4.3), spiral search inspects only the m(ρ,ε) nearest locations
+// (Theorem 4.7), and the exact discrete engine sweeps only the
+// locations within Δ(q) = min_j Δ_j(q) of q, the window outside which
+// Lemma 2.1 rules out any positive probability. Those engines answer
+// ranked and filtered queries in output-sized allocations — typically
+// one allocation per call, for the caller-owned result. Exact
+// continuous engines and V_Pr compute the dense vector (into pooled
+// scratch where they can) and filter it. The sparse and dense paths are
 // equivalence-tested to be identical, bitwise, across engines and set
 // kinds. The one dense fallback is Threshold with tau ≤ Eps() on an
 // approximate engine, where zero-estimate points are genuinely Possible
@@ -97,8 +100,11 @@
 // count), and every query — Nonzero through the merged per-bucket
 // structures, quantification through a lazily rebuilt live view — is
 // bitwise identical to a fresh static Index built from the surviving
-// points with the same options. Result indices refer to the survivors
-// in insertion order; IDs maps them back to PointIDs.
+// points with the same options. Under the exact discrete engine the
+// view rebuild a write forces shares the survivors' already validated
+// distributions instead of re-validating them, and the query after it
+// sweeps only the Lemma 2.1 window. Result indices refer to the
+// survivors in insertion order; IDs maps them back to PointIDs.
 //
 // # Legacy API
 //

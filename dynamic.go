@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"pnn/internal/core"
+	"pnn/internal/dist"
 	"pnn/internal/geom"
 	"pnn/internal/linf"
 	"pnn/internal/logmethod"
@@ -37,9 +38,12 @@ type PointID uint64
 // static Index over the surviving points. Quantification queries
 // (Probabilities, TopK, Threshold, PositiveProbabilities, ExpectedNN)
 // answer through a lazily rebuilt live view: the first such query after
-// a mutation rebuilds one static engine over the survivors (the exact
-// sweep is Θ(n) per query anyway, so the amortized rebuild does not
-// change the asymptotics), and subsequent queries reuse it.
+// a mutation rebuilds one static engine over the survivors, and
+// subsequent queries reuse it. Under the exact discrete engine that
+// rebuild shares the survivors' distributions (each validated once, at
+// insert) without copying them, and the query sweeps only the Lemma 2.1
+// window; Monte Carlo and spiral views redo their preprocessing over
+// all survivors.
 //
 // Supported options match New with two exceptions: BackendDiagram is
 // rejected (a diagram point-locates only its own static set and cannot
@@ -62,6 +66,16 @@ type DynamicIndex struct {
 	idToSlot  map[PointID]int
 	nextID    PointID
 
+	// liveDists holds the discrete survivors' validated distributions in
+	// rank order, parallel to liveSlots. It is nil until the first view
+	// is built and then tracks every insert and delete. A view's set
+	// shares it (capacity capped at its length, so nothing holding the
+	// set can reach the tail): an insert appends past every view's end,
+	// and once liveShared is set a delete builds a fresh array instead of
+	// shifting elements a view may be reading.
+	liveDists  []*dist.Discrete
+	liveShared bool
+
 	// view is the lazily rebuilt static engine answering quantification
 	// queries; nil until the first such query (or when empty).
 	view      *Index
@@ -82,14 +96,16 @@ const (
 )
 
 // dynItem is one inserted point: the public value plus its precomputed
-// geometry (only the fields of the index's kind are set).
+// geometry (only the fields of the index's kind are set). A discrete
+// point keeps only the distribution InsertDiscrete validated; it is
+// immutable, so views share it instead of validating the point again.
 type dynItem struct {
 	id    PointID
 	disk  DiskPoint
-	disc  DiscretePoint
 	sq    SquarePoint
 	gdisk geom.Disk
 	gdisc core.DiscretePoint
+	dd    *dist.Discrete
 	gsq   linf.Square
 }
 
@@ -156,13 +172,12 @@ func (d *DynamicIndex) InsertDiscrete(p DiscretePoint) (PointID, error) {
 	if len(p.Locations) == 0 {
 		return 0, fmt.Errorf("pnn: discrete point with no locations")
 	}
-	p.Locations = slices.Clone(p.Locations)
 	p.Weights = slices.Clone(p.Weights)
 	dd, err := p.discrete()
 	if err != nil {
 		return 0, fmt.Errorf("pnn: %w", err)
 	}
-	return d.insert(dynItem{disc: p, gdisc: core.DiscretePoint{Locs: dd.Locs}}, dynDiscrete)
+	return d.insert(dynItem{gdisc: core.DiscretePoint{Locs: dd.Locs}, dd: dd}, dynDiscrete)
 }
 
 // InsertSquare adds an L∞ square uncertain point and returns its
@@ -190,6 +205,9 @@ func (d *DynamicIndex) insert(it dynItem, k dynKind) (PointID, error) {
 	d.nextID++
 	d.idToSlot[it.id] = slot
 	d.liveSlots = append(d.liveSlots, slot)
+	if d.liveDists != nil {
+		d.liveDists = append(d.liveDists, it.dd)
+	}
 	d.viewDirty = true
 	d.maybeCompact()
 	return it.id, nil
@@ -212,6 +230,15 @@ func (d *DynamicIndex) Delete(id PointID) error {
 	delete(d.idToSlot, id)
 	if i, found := slices.BinarySearch(d.liveSlots, slot); found {
 		d.liveSlots = slices.Delete(d.liveSlots, i, i+1)
+		switch {
+		case d.liveShared:
+			// Keep the capacity so the inserts that follow append in place.
+			fresh := make([]*dist.Discrete, 0, cap(d.liveDists))
+			d.liveDists = append(append(fresh, d.liveDists[:i]...), d.liveDists[i+1:]...)
+			d.liveShared = false
+		case d.liveDists != nil:
+			d.liveDists = slices.Delete(d.liveDists, i, i+1)
+		}
 	}
 	d.viewDirty = true
 	if need {
@@ -482,7 +509,8 @@ func (d *DynamicIndex) viewIndex() (*Index, error) {
 }
 
 // liveSetLocked builds the uncertain set of the survivors in insertion
-// order — the set a fresh static Index would be handed.
+// order — the set a fresh static Index would be handed. The caller holds
+// the write lock: a discrete set shares liveDists (see its field doc).
 func (d *DynamicIndex) liveSetLocked() (UncertainSet, error) {
 	switch d.kind {
 	case dynContinuous:
@@ -492,11 +520,15 @@ func (d *DynamicIndex) liveSetLocked() (UncertainSet, error) {
 		}
 		return NewContinuousSet(pts)
 	case dynDiscrete:
-		pts := make([]DiscretePoint, len(d.liveSlots))
-		for i, s := range d.liveSlots {
-			pts[i] = d.items[s].disc
+		if d.liveDists == nil {
+			d.liveDists = make([]*dist.Discrete, len(d.liveSlots))
+			for i, s := range d.liveSlots {
+				d.liveDists[i] = d.items[s].dd
+			}
 		}
-		return NewDiscreteSet(pts)
+		n := len(d.liveDists)
+		d.liveShared = true
+		return &DiscreteSet{dists: d.liveDists[:n:n]}, nil
 	case dynSquare:
 		pts := make([]SquarePoint, len(d.liveSlots))
 		for i, s := range d.liveSlots {

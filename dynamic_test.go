@@ -1,9 +1,11 @@
 package pnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -62,12 +64,15 @@ func (h *dynHarness) insertRandom(r *rand.Rand) {
 	}
 }
 
-func (h *dynHarness) deleteRandom(r *rand.Rand) {
+// deleteRandom deletes a random live point and returns its id (0 when
+// nothing is live).
+func (h *dynHarness) deleteRandom(r *rand.Rand) PointID {
 	if len(h.ids) == 0 {
-		return
+		return 0
 	}
 	i := r.Intn(len(h.ids))
-	if err := h.dyn.Delete(h.ids[i]); err != nil {
+	id := h.ids[i]
+	if err := h.dyn.Delete(id); err != nil {
 		h.t.Fatal(err)
 	}
 	h.ids = slices.Delete(h.ids, i, i+1)
@@ -79,6 +84,7 @@ func (h *dynHarness) deleteRandom(r *rand.Rand) {
 	case "squares":
 		h.liveSqs = slices.Delete(h.liveSqs, i, i+1)
 	}
+	return id
 }
 
 func (h *dynHarness) liveLen() int { return len(h.ids) }
@@ -263,6 +269,87 @@ func (h *dynHarness) someCenter(r *rand.Rand) Point {
 	default:
 		return h.liveSqs[i].Center
 	}
+}
+
+// TestDynamicConcurrentReads queries a discrete DynamicIndex while
+// another goroutine inserts and deletes. Views share the live arrays
+// with the writes that follow them, so under -race this checks that no
+// write touches what a view reads, and every answer must equal a static
+// Index over some state of the write sequence.
+func TestDynamicConcurrentReads(t *testing.T) {
+	type op struct {
+		insert DiscretePoint
+		del    PointID // 0 for an insert
+	}
+	// Plan the writes sequentially and collect every state's answer.
+	r := rand.New(rand.NewSource(5))
+	plan, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &dynHarness{t: t, dyn: plan, kind: "discrete"}
+	q := Pt(20, 20)
+	want := map[string]bool{}
+	var ops []op
+	for step := 0; step < 80; step++ {
+		if h.liveLen() < 10 || r.Intn(3) != 0 {
+			h.insertRandom(r)
+			ops = append(ops, op{insert: h.liveDiscs[len(h.liveDiscs)-1]})
+		} else {
+			ops = append(ops, op{del: h.deleteRandom(r)})
+		}
+		top, err := h.static().TopK(q, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[fmt.Sprint(top)] = true
+	}
+
+	dyn, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(o op) {
+		if o.del != 0 {
+			if err := dyn.Delete(o.del); err != nil {
+				t.Error(err)
+			}
+		} else if _, err := dyn.InsertDiscrete(o.insert); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, o := range ops[:10] {
+		apply(o)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				top, err := dyn.TopK(q, 64)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !want[fmt.Sprint(top)] {
+					t.Errorf("TopK %v matches no state of the write sequence", top)
+					return
+				}
+			}
+		}()
+	}
+	for _, o := range ops[10:] {
+		apply(o)
+	}
+	close(done)
+	wg.Wait()
 }
 
 func TestDynamicDeleteChurn(t *testing.T) {

@@ -67,9 +67,10 @@ type Index struct {
 	// sparseInto, when non-nil, appends the entries with π_i(q) > 0 into
 	// dst in increasing index order without ever materializing the
 	// N-length vector — the engine-native sparse answer (Monte Carlo
-	// touches ≤ s owners, spiral search m(ρ,ε) locations). Engines
-	// without a native sparse answer leave it nil and the facade derives
-	// the same entries from the dense vector through pooled scratch.
+	// touches ≤ s owners, spiral search m(ρ,ε) locations, the exact
+	// discrete sweep the Lemma 2.1 window). Engines without a native
+	// sparse answer leave it nil and the facade derives the same
+	// entries from the dense vector through pooled scratch.
 	sparseInto func(q Point, dst []quantify.IndexProb) []quantify.IndexProb
 	expected   func(Point) (int, float64) // nil when unsupported
 
@@ -259,9 +260,14 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	}
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
+		// All three slots run the Lemma 2.1 window kernel; the sparse
+		// answer never touches an N-length vector.
 		ix.probs = s.ExactProbabilities
 		ix.probsInto = func(p Point, pi []float64) []float64 {
 			return quantify.ExactAllInto(s.dists, toGeom(p), pi)
+		}
+		ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return quantify.ExactPositiveInto(s.dists, toGeom(p), dst)
 		}
 	case quantMonteCarlo:
 		ix.eps = q.eps

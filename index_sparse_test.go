@@ -212,6 +212,86 @@ func TestThresholdZeroTau(t *testing.T) {
 	}
 }
 
+// TestExactPositiveWithinNonzero is the regression for phantom
+// probabilities. Weights need only sum to 1 ± 1e-6; an owner whose
+// weights sum to 1 − 5e-7 used to keep a residual factor once all its
+// locations were inside the sweep radius, so every farther point got a
+// tiny positive π (≈ 1e-111) although Lemma 2.1 puts it outside
+// NN≠0(q). Every exact answer must stay inside Nonzero(q).
+func TestExactPositiveWithinNonzero(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	pts := randomDiscretePoints(r, 200, 4)
+	for i := range pts {
+		pts[i].Weights = []float64{0.25, 0.25, 0.25, 0.25 - 5e-7}
+	}
+	set, err := NewDiscreteSet(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type exactEngine interface {
+		Nonzero(Point) ([]int, error)
+		PositiveProbabilities(Point, float64) ([]IndexProb, error)
+		TopK(Point, int) ([]IndexProb, error)
+		Threshold(Point, float64) (ThresholdResult, error)
+	}
+	engines := map[string]exactEngine{}
+	for name, b := range map[string]NonzeroBackend{"index": BackendIndex, "direct": BackendDirect} {
+		idx, err := New(set, WithNonzeroBackend(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[name] = idx
+	}
+	dyn, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if _, err := dyn.InsertDiscrete(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engines["dynamic"] = dyn
+	qs := make([]Point, 100)
+	for i := range qs {
+		qs[i] = Pt(r.Float64()*100, r.Float64()*100)
+	}
+	for name, e := range engines {
+		for _, q := range qs {
+			nz, err := e.Nonzero(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inNZ := map[int]bool{}
+			for _, i := range nz {
+				inNZ[i] = true
+			}
+			pos, err := e.PositiveProbabilities(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			top, err := e.TopK(q, len(pts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, err := e.Threshold(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ip := range append(pos, top...) {
+				if !inNZ[ip.Index] {
+					t.Fatalf("%s: q=%v reports π_%d = %g outside NN≠0 %v", name, q, ip.Index, ip.Prob, nz)
+				}
+			}
+			for _, i := range th.Certain {
+				if !inNZ[i] {
+					t.Fatalf("%s: q=%v Threshold(0) certifies %d outside NN≠0 %v", name, q, i, nz)
+				}
+			}
+		}
+	}
+}
+
 // TestThresholdInvalidTau: NaN and ±Inf taus must fail with
 // ErrInvalidParam instead of silently classifying nothing.
 func TestThresholdInvalidTau(t *testing.T) {

@@ -3,8 +3,8 @@
 // implementing the three regimes of Section 4 of the paper:
 //
 //   - exact evaluation of Eq. (2) for discrete distributions, both per
-//     query (a sorted sweep) and via the probabilistic Voronoi diagram
-//     V_Pr (Theorem 4.2, vpr.go);
+//     query (a sorted sweep over the Lemma 2.1 window of q) and via the
+//     probabilistic Voronoi diagram V_Pr (Theorem 4.2, vpr.go);
 //   - the Monte Carlo estimator of Theorems 4.3 and 4.5 (montecarlo.go);
 //   - the deterministic spiral-search approximation of Theorem 4.7
 //     (spiral.go).
@@ -12,6 +12,7 @@ package quantify
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 
@@ -38,24 +39,114 @@ func Flatten(pts []*dist.Discrete) []Location {
 }
 
 // ExactAll returns π_i(q) for every uncertain point by evaluating Eq. (2)
-// with a single sorted sweep over all N locations: O(N log N) per query.
-//
-// The sweep maintains, per owner j, the accumulated probability
-// G_{q,j}(d) of locations within the current distance, and the running
-// product Π_j (1 − G_{q,j}(d)) in zero-aware form so owners whose whole
-// mass is inside the current radius (factor exactly 0) never force a
-// division by zero.
+// over the Lemma 2.1 window of q (see ExactPositiveInto): O(N) to find
+// the window plus O(m log m) to sweep its m locations.
 func ExactAll(pts []*dist.Discrete, q geom.Point) []float64 {
-	locs := Flatten(pts)
-	return ExactSubset(locs, len(pts), q)
+	return ExactAllInto(pts, q, make([]float64, len(pts)))
 }
 
 // ExactAllInto is ExactAll writing the probability vector into pi, which
-// must have length len(pts). Internal sweep scratch is still allocated;
-// the point of the variant is that the result reuses caller memory.
+// must have length len(pts): pi is zeroed and the window's owners are
+// scattered into it. The sweep scratch is pooled.
 func ExactAllInto(pts []*dist.Discrete, q geom.Point, pi []float64) []float64 {
-	locs := Flatten(pts)
-	return ExactSubsetInto(locs, len(pts), q, pi)
+	pi = pi[:len(pts)]
+	clear(pi)
+	sc := windowPool.Get().(*windowScratch)
+	sc.sweep(pts, q)
+	for id, p := range sc.pi {
+		pi[sc.owners[id]] = p
+	}
+	windowPool.Put(sc)
+	return pi
+}
+
+// ExactPositiveInto appends the owners with π_i(q) > 0 to dst (reused
+// from its start) in increasing owner order — the native sparse exact
+// answer, bitwise identical to ExactAll's positive entries. Only the
+// Lemma 2.1 window is swept: π_i(q) > 0 requires δ_i(q) < Δ(q), where
+// Δ(q) = min_j Δ_j(q) is the smallest farthest-location distance, so
+// the locations farther than Δ(q) cannot change any probability.
+func ExactPositiveInto(pts []*dist.Discrete, q geom.Point, dst []IndexProb) []IndexProb {
+	dst = dst[:0]
+	sc := windowPool.Get().(*windowScratch)
+	sc.sweep(pts, q)
+	for id, p := range sc.pi {
+		if p > 0 {
+			dst = append(dst, IndexProb{I: sc.owners[id], P: p})
+		}
+	}
+	windowPool.Put(sc)
+	return dst
+}
+
+// windowScratch is the pooled working set of the window kernel: one
+// entry per owner in near, everything else sized by the window.
+type windowScratch struct {
+	near   []float64 // per owner: min_t d²(q, p_it)
+	recs   []subsetRec
+	owners []int // compact id → owner, increasing
+	left   []int // compact id → locations not yet folded
+	pi     []float64
+	factor []float64
+}
+
+var windowPool = sync.Pool{New: func() any { return new(windowScratch) }}
+
+// sweep evaluates Eq. (2) over the window of q: the locations with
+// d²(q, p) ≤ Δ²(q) = min_j max_t d²(q, p_jt). Afterwards sc.pi[id] is
+// π of owner sc.owners[id]; owners outside the window have π = 0.
+//
+// The result is bitwise identical to the full sweep over all N
+// locations in (d², input position) order. The window is a prefix of
+// that order, and the owner attaining Δ² has every location inside it,
+// so its factor is exactly 0 once the prefix is folded (sweepRecs'
+// left counts). From then on every credit of the full sweep multiplies
+// by a product containing that zero, adding exactly +0. The window is
+// sorted by (d², position) for the same reason: the prefix must fold
+// tied locations in the order the full sweep would.
+func (sc *windowScratch) sweep(pts []*dist.Discrete, q geom.Point) {
+	sc.near = slices.Grow(sc.near[:0], len(pts))[:len(pts)]
+	delta2 := math.Inf(1)
+	for i, p := range pts {
+		near, far := math.Inf(1), math.Inf(-1)
+		for _, l := range p.Locs {
+			d2 := l.Dist2(q)
+			near = min(near, d2)
+			far = max(far, d2)
+		}
+		sc.near[i] = near
+		delta2 = min(delta2, far)
+	}
+	recs := sc.recs[:0]
+	sc.owners, sc.left = sc.owners[:0], sc.left[:0]
+	for i, p := range pts {
+		if sc.near[i] > delta2 {
+			continue
+		}
+		id := len(sc.owners)
+		sc.owners = append(sc.owners, i)
+		sc.left = append(sc.left, len(p.Locs))
+		for t, l := range p.Locs {
+			if d2 := l.Dist2(q); d2 <= delta2 {
+				recs = append(recs, subsetRec{d2: d2, seq: len(recs), Location: Location{Owner: id, P: l, W: p.W[t]}})
+			}
+		}
+	}
+	sc.recs = recs
+	slices.SortFunc(recs, func(a, b subsetRec) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	m := len(sc.owners)
+	sc.pi = slices.Grow(sc.pi[:0], m)[:m]
+	sc.factor = slices.Grow(sc.factor[:0], m)[:m]
+	for id := range m {
+		sc.pi[id] = 0
+		sc.factor[id] = 1
+	}
+	sweepRecs(recs, sc.pi, sc.factor, sc.left)
 }
 
 // ExactSubset evaluates Eq. (2) restricted to the given locations (which
@@ -67,8 +158,11 @@ func ExactSubset(locs []Location, n int, q geom.Point) []float64 {
 }
 
 // subsetRec is one location tagged with its squared query distance.
+// The window kernel numbers its records in input order in seq and breaks
+// distance ties by it; the subset sweeps leave it 0.
 type subsetRec struct {
-	d2 float64
+	d2  float64
+	seq int
 	Location
 }
 
@@ -88,8 +182,18 @@ func sortByOwner(entries []IndexProb) {
 // sweepRecs runs the Eq. (2) sweep over distance-sorted recs. pi
 // accumulates per-owner probabilities (must be zeroed) and factor holds
 // 1 − G_{q,j} per owner (must be all ones); both are indexed by
-// rec.Owner.
-func sweepRecs(recs []subsetRec, pi, factor []float64) {
+// rec.Owner. The running product Π_j (1 − G_{q,j}(d)) is kept in
+// zero-aware form, so owners whose whole mass is inside the current
+// radius (factor exactly 0) never force a division by zero.
+//
+// left, when non-nil, counts each owner's locations not yet folded; a
+// sweep that sees whole owners passes it so an owner's factor becomes
+// exactly 0 with its last location. Weights are only validated to sum
+// to 1 ± 1e-6, and a residual 1 − ΣW above the 1e-15 clamp would
+// otherwise credit every farther location with a phantom probability
+// outside NN≠0(q) (Lemma 2.1). Subset sweeps over partial owners (the
+// spiral) pass nil and keep the clamp alone.
+func sweepRecs(recs []subsetRec, pi, factor []float64, left []int) {
 	nzProd := 1.0 // product of nonzero factors
 	zeros := 0
 
@@ -106,6 +210,12 @@ func sweepRecs(recs []subsetRec, pi, factor []float64) {
 			nf := old - recs[t].W
 			if nf < 1e-15 {
 				nf = 0
+			}
+			if left != nil {
+				left[o]--
+				if left[o] == 0 {
+					nf = 0
+				}
 			}
 			if old > 0 && nf == 0 {
 				zeros++
@@ -152,7 +262,7 @@ func ExactSubsetInto(locs []Location, n int, q geom.Point, pi []float64) []float
 	for j := range factor {
 		factor[j] = 1
 	}
-	sweepRecs(recs, pi, factor)
+	sweepRecs(recs, pi, factor, nil)
 	return pi
 }
 
@@ -205,7 +315,7 @@ func ExactSubsetPositiveInto(locs []Location, q geom.Point, dst []IndexProb) []I
 		sc.pi[i] = 0
 		sc.factor[i] = 1
 	}
-	sweepRecs(recs, sc.pi, sc.factor)
+	sweepRecs(recs, sc.pi, sc.factor, nil)
 	for id, p := range sc.pi {
 		if p > 0 {
 			dst = append(dst, IndexProb{I: sc.owners[id], P: p})

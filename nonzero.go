@@ -66,7 +66,7 @@ func (s *DiscreteSet) BuildDiagram(opts ...DiagramOption) *Diagram {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	d := core.BuildDiscreteDiagram(s.sups, core.DiscreteDiagramOptions{SkipSubdivision: cfg.skipSubdivision})
+	d := core.BuildDiscreteDiagram(s.derived().sups, core.DiscreteDiagramOptions{SkipSubdivision: cfg.skipSubdivision})
 	return &Diagram{disc: d}
 }
 
@@ -135,7 +135,7 @@ func (s *ContinuousSet) NewNonzeroIndex() *NonzeroIndex {
 //
 // Deprecated: query through the Index facade: New(set) uses this structure by default.
 func (s *DiscreteSet) NewNonzeroIndex() *NonzeroIndex {
-	return &NonzeroIndex{disc: nnq.NewDiscrete(s.sups)}
+	return &NonzeroIndex{disc: nnq.NewDiscrete(s.derived().sups)}
 }
 
 // Query returns NN≠0(q) in increasing index order.

@@ -69,8 +69,10 @@ type Quantifier struct {
 	minX, minY, maxX, maxY float64
 }
 
-// Exact computes π_i(q) exactly: the Eq. (2) sweep for discrete points
-// (O(N log N) per query), numerical integration of Eq. (1) for
+// Exact computes π_i(q) exactly: for discrete points the Eq. (2) sweep
+// over the locations within Δ(q) = min_j Δ_j(q) of q (Lemma 2.1; O(N)
+// to find them, and TopK, Threshold and PositiveProbabilities never
+// build the N-length vector), numerical integration of Eq. (1) for
 // continuous ones (see WithIntegrationPanels). The default quantifier.
 func Exact() Quantifier { return Quantifier{kind: quantExact} }
 

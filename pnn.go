@@ -3,6 +3,7 @@ package pnn
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"pnn/internal/core"
 	"pnn/internal/dist"
@@ -127,8 +128,12 @@ func (s *ContinuousSet) nonzeroAtInto(q Point, dst []int) []int {
 
 // DiscreteSet is a collection of discrete uncertain points.
 type DiscreteSet struct {
-	points []DiscretePoint
-	dists  []*dist.Discrete
+	dists []*dist.Discrete
+
+	// sups (the location supports the NN≠0 structures take) and maxK are
+	// derived from dists on first use, so a set that only answers
+	// quantification, like a DynamicIndex view, never builds them.
+	derive sync.Once
 	sups   []core.DiscretePoint
 	maxK   int
 }
@@ -139,26 +144,34 @@ func NewDiscreteSet(points []DiscretePoint) (*DiscreteSet, error) {
 	if len(points) == 0 {
 		return nil, errors.New("pnn: empty point set")
 	}
-	s := &DiscreteSet{points: points}
+	s := &DiscreteSet{dists: make([]*dist.Discrete, len(points))}
 	for i, p := range points {
 		d, err := p.discrete()
 		if err != nil {
 			return nil, fmt.Errorf("pnn: point %d: %w", i, err)
 		}
-		s.dists = append(s.dists, d)
-		s.sups = append(s.sups, core.DiscretePoint{Locs: d.Locs})
-		if d.K() > s.maxK {
-			s.maxK = d.K()
-		}
+		s.dists[i] = d
 	}
 	return s, nil
 }
 
+// derived fills sups and maxK once and returns s.
+func (s *DiscreteSet) derived() *DiscreteSet {
+	s.derive.Do(func() {
+		s.sups = make([]core.DiscretePoint, len(s.dists))
+		for i, d := range s.dists {
+			s.sups[i] = core.DiscretePoint{Locs: d.Locs}
+			s.maxK = max(s.maxK, d.K())
+		}
+	})
+	return s
+}
+
 // Len returns the number of uncertain points.
-func (s *DiscreteSet) Len() int { return len(s.points) }
+func (s *DiscreteSet) Len() int { return len(s.dists) }
 
 // K returns the maximum description complexity over the points.
-func (s *DiscreteSet) K() int { return s.maxK }
+func (s *DiscreteSet) K() int { return s.derived().maxK }
 
 // Spread returns ρ, the ratio of largest to smallest location probability
 // over all points (Section 4.3).
@@ -184,10 +197,10 @@ func (s *DiscreteSet) Spread() float64 {
 //
 // Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
 func (s *DiscreteSet) NonzeroAt(q Point) []int {
-	return core.NonzeroSetDiscrete(s.sups, toGeom(q))
+	return core.NonzeroSetDiscrete(s.derived().sups, toGeom(q))
 }
 
 // nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
 func (s *DiscreteSet) nonzeroAtInto(q Point, dst []int) []int {
-	return core.NonzeroSetDiscreteInto(s.sups, toGeom(q), dst)
+	return core.NonzeroSetDiscreteInto(s.derived().sups, toGeom(q), dst)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // ExactProbabilities returns π_i(q) for every point by the exact Eq. (2)
-// sweep, O(N log N) per query.
+// sweep over the Lemma 2.1 window of q.
 //
 // Deprecated: use New(set).Probabilities (Exact is the default quantifier).
 func (s *DiscreteSet) ExactProbabilities(q Point) []float64 {
