@@ -180,7 +180,7 @@ func runPool(ctx context.Context, n, workers int, fn func(i int)) {
 }
 
 func (ix *Index) queryOne(q Point) Result {
-	r := Result{Nonzero: ix.nonzero(q)}
+	r := Result{Nonzero: ix.nonzero(toGeom(q), nil)}
 	if ix.probs != nil {
 		r.Probabilities = ix.probs(q)
 	}

@@ -1,10 +1,10 @@
 package pnn
 
-// One benchmark family per experiment of EXPERIMENTS.md (ids E1–E15 map to
-// DESIGN.md's experiment index). cmd/pnnbench prints the corresponding
-// accuracy/complexity tables; these benches measure the time/allocation
-// side with testing.B so `go test -bench=. -benchmem` regenerates every
-// performance row.
+// One benchmark family per cmd/pnnbench experiment (ids E1–E15; `go run
+// ./cmd/pnnbench -experiment list` names them). pnnbench prints the
+// corresponding accuracy/complexity tables; these benches measure the
+// time/allocation side with testing.B so `go test -bench=. -benchmem`
+// regenerates every performance row.
 
 import (
 	"fmt"
@@ -265,22 +265,31 @@ func BenchmarkBaselines(b *testing.B) {
 // Public-API end-to-end benches (what a downstream user measures).
 func BenchmarkPublicDiscreteExact(b *testing.B) {
 	r := rand.New(rand.NewSource(15))
-	set := mustDiscreteSet(b, r, 500, 4)
+	idx, err := New(mustDiscreteSet(b, r, 500, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := Pt(500, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set.ExactProbabilities(q)
+		if _, err := idx.Probabilities(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkPublicSpiral(b *testing.B) {
 	r := rand.New(rand.NewSource(16))
-	set := mustDiscreteSet(b, r, 500, 4)
-	sp := set.NewSpiral()
+	idx, err := New(mustDiscreteSet(b, r, 500, 4), WithQuantifier(SpiralSearch(0.05)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	q := Pt(500, 500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Estimate(q, 0.05)
+		if _, err := idx.Probabilities(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

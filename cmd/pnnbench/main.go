@@ -1,6 +1,6 @@
 // Command pnnbench regenerates the quantitative results of the paper.
-// Each experiment id matches a row of the experiment index in DESIGN.md
-// and a section of EXPERIMENTS.md.
+// `pnnbench -experiment list` prints every experiment id with the figure,
+// theorem or ablation it reproduces.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "experiment id (see DESIGN.md) or 'all'")
+	experiment = flag.String("experiment", "all", "experiment id (see -experiment list) or 'all'")
 	quick      = flag.Bool("quick", false, "smaller parameter sweeps")
 	seed       = flag.Int64("seed", 1, "random seed")
 	jsonDir    = flag.String("json", "", "directory for BENCH_<id>.json records (empty disables)")
@@ -1241,7 +1241,8 @@ func facadePoints(pts []*dist.Discrete) []pnn.DiscretePoint {
 }
 
 // E21 — ablation: polyline flattening density vs diagram-query agreement
-// with the brute oracle (the DESIGN.md §5(3) tolerance trade).
+// with the brute oracle: the diagram's curved arcs are flattened into
+// polylines, so denser flattening trades faces for agreement.
 func expAblationFlatten() {
 	r := rng()
 	disks := workload.RandomDisks(r, 10, 100, 1, 5)

@@ -106,18 +106,8 @@
 // sweeps only the Lemma 2.1 window. Result indices refer to the
 // survivors in insertion order; IDs maps them back to PointIDs.
 //
-// # Legacy API
-//
-// The per-set query methods predating the facade — NonzeroAt,
-// BuildDiagram, NewNonzeroIndex, ExactProbabilities, NewMonteCarlo,
-// NewSpiral, NewVPr, and friends — remain as deprecated thin wrappers
-// over the same internals and answer exactly as the facade does; new
-// code should construct an Index instead. One breaking rename: the
-// Monte Carlo estimator type is now MonteCarloEstimator, freeing the
-// MonteCarlo name for the quantifier option (constructor calls are
-// unaffected).
-//
 // The quickstart in examples/quickstart shows both query families end to
-// end; DESIGN.md maps every theorem of the paper to its implementation
-// and EXPERIMENTS.md records the measured reproductions.
+// end. ARCHITECTURE.md maps every package to the theorem of the paper
+// it implements, and `go run ./cmd/pnnbench -experiment list` lists the
+// reproduced experiments.
 package pnn

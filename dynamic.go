@@ -160,8 +160,8 @@ func (d *DynamicIndex) setKind(k dynKind) error {
 // InsertDisk adds a continuous (disk-supported) uncertain point and
 // returns its stable id.
 func (d *DynamicIndex) InsertDisk(p DiskPoint) (PointID, error) {
-	if p.Support.R < 0 {
-		return 0, fmt.Errorf("pnn: negative disk radius %g", p.Support.R)
+	if err := p.validate(); err != nil {
+		return 0, fmt.Errorf("pnn: %w", err)
 	}
 	return d.insert(dynItem{disk: p, gdisk: toDisk(p.Support)}, dynContinuous)
 }
@@ -169,9 +169,6 @@ func (d *DynamicIndex) InsertDisk(p DiskPoint) (PointID, error) {
 // InsertDiscrete adds a discrete uncertain point (locations and weights
 // are copied) and returns its stable id.
 func (d *DynamicIndex) InsertDiscrete(p DiscretePoint) (PointID, error) {
-	if len(p.Locations) == 0 {
-		return 0, fmt.Errorf("pnn: discrete point with no locations")
-	}
 	p.Weights = slices.Clone(p.Weights)
 	dd, err := p.discrete()
 	if err != nil {
@@ -183,8 +180,8 @@ func (d *DynamicIndex) InsertDiscrete(p DiscretePoint) (PointID, error) {
 // InsertSquare adds an L∞ square uncertain point and returns its
 // stable id.
 func (d *DynamicIndex) InsertSquare(p SquarePoint) (PointID, error) {
-	if p.R < 0 {
-		return 0, fmt.Errorf("pnn: negative square radius %g", p.R)
+	if err := p.validate(); err != nil {
+		return 0, fmt.Errorf("pnn: %w", err)
 	}
 	return d.insert(dynItem{sq: p, gsq: linf.Square{C: toGeom(p.Center), R: p.R}}, dynSquare)
 }

@@ -417,6 +417,18 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	if _, err := d.InsertDisk(DiskPoint{Support: Disk{Center: Pt(0, 0), R: -1}}); err == nil {
 		t.Fatal("negative radius accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []DiskPoint{
+		{Support: Disk{Center: Pt(nan, 0), R: 1}},
+		{Support: Disk{Center: Pt(0, inf), R: 1}},
+		{Support: Disk{R: nan}},
+		{Support: Disk{R: inf}},
+		{Support: Disk{R: 1}, Density: TruncatedGaussian, Sigma: nan},
+	} {
+		if _, err := d.InsertDisk(p); err == nil {
+			t.Fatalf("non-finite disk %+v accepted", p)
+		}
+	}
 	if err := d.Delete(id); err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +445,33 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := sq.InsertSquare(SquarePoint{Center: Pt(0, 0), R: 1}); err == nil {
 		t.Fatal("quantifier accepted for L∞ squares")
+	}
+
+	sqs, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []SquarePoint{{Center: Pt(nan, 0), R: 1}, {Center: Pt(0, -inf), R: 1}, {R: nan}, {R: inf}} {
+		if _, err := sqs.InsertSquare(p); err == nil {
+			t.Fatalf("non-finite square %+v accepted", p)
+		}
+	}
+	discs, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []DiscretePoint{
+		{},
+		{Locations: []Point{Pt(nan, 0)}},
+		{Locations: []Point{Pt(0, inf)}},
+		{Locations: []Point{Pt(0, 0), Pt(1, 1)}, Weights: []float64{nan, 1}},
+	} {
+		if _, err := discs.InsertDiscrete(p); err == nil {
+			t.Fatalf("invalid discrete point %+v accepted", p)
+		}
+	}
+	if discs.Len() != 0 || sqs.Len() != 0 {
+		t.Fatalf("rejected inserts left points behind: %d, %d", discs.Len(), sqs.Len())
 	}
 }
 

@@ -2,14 +2,15 @@ package pnn
 
 import (
 	"errors"
-	"math/rand"
+	"fmt"
 
 	"pnn/internal/geom"
 	"pnn/internal/linf"
 	"pnn/internal/quantify"
 )
 
-// This file covers the paper's explicitly-signposted extensions:
+// This file covers the paper's explicitly-signposted extensions; Index
+// answers all of them:
 //
 //   - expected-distance nearest neighbors (the [AESZ12] definition
 //     contrasted in §1.2);
@@ -18,27 +19,9 @@ import (
 //   - spiral search over continuous distributions (open problem (iii));
 //   - the L∞ metric with square uncertainty regions (§3, Remark (ii)).
 
-// ExpectedNN returns the index of the point minimizing the expected
-// distance E[d(q, P_i)] and that minimum. This is the cheaper NN notion
-// of [AESZ12]; §1.2 warns it is a poor indicator under large uncertainty
-// (see the ExpectedVsProbability experiment).
-//
-// Deprecated: use New(set).ExpectedNN.
-func (s *DiscreteSet) ExpectedNN(q Point) (int, float64) {
-	return quantify.ExpectedNNDiscrete(s.dists, toGeom(q))
-}
-
 // ExpectedDistance returns E[d(q, P_i)].
 func (s *DiscreteSet) ExpectedDistance(q Point, i int) float64 {
 	return quantify.ExpectedDistanceDiscrete(s.dists[i], toGeom(q))
-}
-
-// ExpectedNN returns the expected-distance nearest neighbor for continuous
-// points, by quadrature with the given panel count.
-//
-// Deprecated: use New(set).ExpectedNN.
-func (s *ContinuousSet) ExpectedNN(q Point, panels int) (int, float64) {
-	return quantify.ExpectedNNContinuous(s.conts, toGeom(q), panels)
 }
 
 // ThresholdResult classifies points against a probability threshold τ.
@@ -50,36 +33,24 @@ type ThresholdResult struct {
 	Possible []int
 }
 
-// Threshold reports all points with π_i(q) ≥ tau using one spiral-search
-// query at accuracy eps: every point with π_i ≥ tau appears in Certain or
-// Possible, and every Certain point genuinely meets the threshold
-// (one-sided guarantee of Theorem 4.7).
-func (s *Spiral) Threshold(q Point, tau, eps float64) ThresholdResult {
-	r := s.sp.Threshold(toGeom(q), tau, eps)
-	return ThresholdResult{Certain: r.Certain, Possible: r.Possible}
-}
-
-// NewSpiral builds a spiral-search estimator for continuous points by the
-// Lemma 4.4 discretization with samplesPerPoint draws per point — the
-// paper's open problem (iii) answered by composition. The total error
-// adds the sampling term n·α(samplesPerPoint) to the spiral ε; callers
-// control it through the sample budget. rng may be nil for a fixed seed.
-//
-// Deprecated: use New(set, WithQuantifier(SpiralSearch(eps)), WithSpiralSamples(m)).
-func (s *ContinuousSet) NewSpiral(samplesPerPoint int, rng *rand.Rand) *Spiral {
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
-	sc := quantify.NewSpiralContinuous(s.conts, samplesPerPoint, rng)
-	return &Spiral{sp: sc.Spiral}
-}
-
 // SquarePoint is an uncertain point whose region is the L∞ ball (square)
 // of radius R about Center, queried under the Chebyshev metric
 // (§3, Remark (ii)).
 type SquarePoint struct {
 	Center Point
 	R      float64
+}
+
+// validate rejects a square no structure can answer for: a non-finite
+// center or radius, or a negative radius.
+func (p SquarePoint) validate() error {
+	if !finite(p.Center.X, p.Center.Y, p.R) {
+		return fmt.Errorf("non-finite square (center %v, radius %g)", p.Center, p.R)
+	}
+	if p.R < 0 {
+		return fmt.Errorf("negative square radius %g", p.R)
+	}
+	return nil
 }
 
 // SquareSet is a collection of square uncertain points under L∞.
@@ -94,8 +65,8 @@ func NewSquareSet(points []SquarePoint) (*SquareSet, error) {
 	}
 	s := &SquareSet{squares: make([]linf.Square, len(points))}
 	for i, p := range points {
-		if p.R < 0 {
-			return nil, errors.New("pnn: negative square radius")
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("pnn: point %d: %w", i, err)
 		}
 		s.squares[i] = linf.Square{C: geom.Point{X: p.Center.X, Y: p.Center.Y}, R: p.R}
 	}
@@ -104,37 +75,3 @@ func NewSquareSet(points []SquarePoint) (*SquareSet, error) {
 
 // Len returns the number of points.
 func (s *SquareSet) Len() int { return len(s.squares) }
-
-// NonzeroAt returns NN≠0(q) under the Chebyshev metric in O(n).
-//
-// Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
-func (s *SquareSet) NonzeroAt(q Point) []int {
-	return linf.NonzeroSet(s.squares, toGeom(q))
-}
-
-// nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
-func (s *SquareSet) nonzeroAtInto(q Point, dst []int) []int {
-	return linf.NonzeroSetInto(s.squares, toGeom(q), dst)
-}
-
-// SquareIndex answers L∞ NN≠0 queries in logarithmic expected time.
-type SquareIndex struct {
-	ix *linf.Index
-}
-
-// NewNonzeroIndex builds the L∞ query structure.
-//
-// Deprecated: query through the Index facade: New(set) uses this structure by default.
-func (s *SquareSet) NewNonzeroIndex() *SquareIndex {
-	return &SquareIndex{ix: linf.Build(s.squares)}
-}
-
-// Query returns NN≠0(q) in increasing index order.
-func (ix *SquareIndex) Query(q Point) []int {
-	return ix.ix.Query(toGeom(q))
-}
-
-// queryInto is Query appending into dst (reused from its start).
-func (ix *SquareIndex) queryInto(q Point, dst []int) []int {
-	return ix.ix.QueryInto(toGeom(q), dst)
-}

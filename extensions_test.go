@@ -3,7 +3,12 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+
+	"pnn/internal/linf"
+	"pnn/internal/quantify"
 )
 
 func TestExpectedNNDiscrete(t *testing.T) {
@@ -15,15 +20,22 @@ func TestExpectedNNDiscrete(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Pt(0, 0)
-	i, d := set.ExpectedNN(q)
+	ix := mustNew(t, set)
+	i, d, err := ix.ExpectedNN(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if i != 0 || math.Abs(d-10) > 1e-12 {
 		t.Fatalf("expected NN %d at %v", i, d)
+	}
+	if wi, wd := quantify.ExpectedNNDiscrete(set.dists, toGeom(q)); i != wi || d != wd {
+		t.Fatalf("facade (%d, %v) vs quantify (%d, %v)", i, d, wi, wd)
 	}
 	if got := set.ExpectedDistance(q, 1); math.Abs(got-12.5) > 1e-12 {
 		t.Fatalf("E[d_1] = %v", got)
 	}
 	// §1.2's point: probability ranking disagrees with expected distance.
-	pi := set.ExactProbabilities(q)
+	pi := mustProbabilities(t, ix, q)
 	if pi[1] <= pi[0] {
 		t.Fatalf("probability should favor the spread point: %v", pi)
 	}
@@ -37,9 +49,16 @@ func TestExpectedNNContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i, _ := set.ExpectedNN(Pt(0, 0), 128)
+	q := Pt(0, 0)
+	i, d, err := mustNew(t, set, WithIntegrationPanels(128)).ExpectedNN(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if i != 1 {
 		t.Fatalf("continuous expected NN %d", i)
+	}
+	if wi, wd := quantify.ExpectedNNContinuous(set.conts, toGeom(q), 128); i != wi || d != wd {
+		t.Fatalf("facade (%d, %v) vs quantify (%d, %v)", i, d, wi, wd)
 	}
 }
 
@@ -49,10 +68,12 @@ func TestThresholdQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral()
 	q := Pt(50, 50)
-	res := sp.Threshold(q, 0.25, 0.05)
-	exact := set.ExactProbabilities(q)
+	res, err := mustNew(t, set, WithQuantifier(SpiralSearch(0.05))).Threshold(q, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := quantify.ExactAll(set.dists, toGeom(q))
 	for _, i := range res.Certain {
 		if exact[i] < 0.25-1e-9 {
 			t.Fatalf("certain %d has π=%v", i, exact[i])
@@ -80,8 +101,7 @@ func TestContinuousSpiral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral(500, nil)
-	pi := sp.Estimate(Pt(5, 0.01), 0.01)
+	pi := mustProbabilities(t, mustNew(t, set, WithQuantifier(SpiralSearch(0.01)), WithSpiralSamples(500)), Pt(5, 0.01))
 	if math.Abs(pi[0]-0.5) > 0.06 || math.Abs(pi[1]-0.5) > 0.06 {
 		t.Fatalf("continuous spiral: %v", pi)
 	}
@@ -97,10 +117,10 @@ func TestSquareSetAgainstOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := set.NewNonzeroIndex()
+	ix := mustNew(t, set)
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(ix.Query(q), set.NonzeroAt(q)) {
+		if !slices.Equal(mustNonzero(t, ix, q), linf.NonzeroSet(set.squares, toGeom(q))) {
 			t.Fatalf("L∞ index disagrees at %v", q)
 		}
 	}
@@ -113,28 +133,15 @@ func TestSquareSetValidation(t *testing.T) {
 	if _, err := NewSquareSet([]SquarePoint{{R: -1}}); err == nil {
 		t.Fatal("negative radius must error")
 	}
-}
-
-func TestMonteCarloParallelPublic(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	set, err := NewDiscreteSet(randomDiscretePoints(r, 8, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := set.NewMonteCarloParallel(500, 9, 0)
-	q := Pt(50, 50)
-	serial := mc.Estimate(q)
-	parallel := mc.EstimateParallel(q, 4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("parallel estimate differs at %d: %v vs %v", i, serial[i], parallel[i])
-		}
-	}
-	// Deterministic across worker counts at build time too.
-	mc2 := set.NewMonteCarloParallel(500, 9, 1)
-	for i, p := range mc2.Estimate(q) {
-		if p != serial[i] {
-			t.Fatalf("build parallelism changed results at %d", i)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, p := range map[string]SquarePoint{
+		"NaN center": {Center: Pt(0, nan), R: 1},
+		"Inf center": {Center: Pt(-inf, 0), R: 1},
+		"NaN radius": {R: nan},
+		"Inf radius": {R: inf},
+	} {
+		if _, err := NewSquareSet([]SquarePoint{p}); err == nil {
+			t.Errorf("%s: square accepted", name)
 		}
 	}
 }
@@ -146,17 +153,25 @@ func TestTopKPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Pt(50, 50)
-	exactTop := set.TopKProbable(q, 3)
+	exactTop, err := mustNew(t, set).TopK(q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(exactTop) == 0 {
 		t.Fatal("no top-k results")
+	}
+	if want := toIndexProbs(quantify.TopK(quantify.ExactAll(set.dists, toGeom(q)), 3)); !reflect.DeepEqual(exactTop, want) {
+		t.Fatalf("top-k %v vs ranked sweep %v", exactTop, want)
 	}
 	for i := 1; i < len(exactTop); i++ {
 		if exactTop[i-1].Prob < exactTop[i].Prob {
 			t.Fatal("top-k not sorted")
 		}
 	}
-	sp := set.NewSpiral()
-	spTop := sp.TopK(q, 3, 0.01)
+	spTop, err := mustNew(t, set, WithQuantifier(SpiralSearch(0.01))).TopK(q, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(spTop) == 0 || spTop[0].Index != exactTop[0].Index {
 		t.Fatalf("spiral top-1 %v vs exact top-1 %v", spTop, exactTop)
 	}

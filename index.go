@@ -9,6 +9,11 @@ import (
 	"slices"
 	"sync"
 
+	"pnn/internal/baseline"
+	"pnn/internal/core"
+	"pnn/internal/geom"
+	"pnn/internal/linf"
+	"pnn/internal/nnq"
 	"pnn/internal/quantify"
 )
 
@@ -56,11 +61,10 @@ type Index struct {
 	// (Monte Carlo) rather than one-sided π̂ ≤ π ≤ π̂ + ε (spiral).
 	twoSided bool
 
-	nonzero func(Point) []int
-	// nonzeroInto, when non-nil, is the caller-buffer variant of nonzero
-	// (appends into dst from its start).
-	nonzeroInto func(q Point, dst []int) []int
-	probs       func(Point) []float64 // nil when unsupported
+	// nonzero appends NN≠0(q) into dst from its start; a nil dst gets a
+	// fresh caller-owned slice.
+	nonzero func(q geom.Point, dst []int) []int
+	probs   func(Point) []float64 // nil when unsupported
 	// probsInto, when non-nil, writes π(q) into a caller buffer of
 	// length Len() instead of allocating it.
 	probsInto func(q Point, pi []float64) []float64
@@ -182,87 +186,86 @@ func (ix *Index) rng() *rand.Rand {
 
 // useMonteCarlo wires a Monte Carlo estimator into all three probability
 // slots: dense, dense-into, and the native sparse answer (≤ s entries).
-func (ix *Index) useMonteCarlo(mc *MonteCarloEstimator) {
-	ix.probs = mc.Estimate
+func (ix *Index) useMonteCarlo(mc *quantify.MonteCarlo) {
+	ix.probs = func(p Point) []float64 { return mc.Estimate(toGeom(p)) }
 	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return mc.mc.EstimateInto(toGeom(p), pi)
+		return mc.EstimateInto(toGeom(p), pi)
 	}
 	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return mc.mc.EstimatePositiveInto(toGeom(p), dst)
+		return mc.EstimatePositiveInto(toGeom(p), dst)
 	}
 }
 
 // useSpiral wires a spiral-search estimator into all three probability
 // slots (the sparse answer touches only the m(ρ,ε) retrieved locations).
-func (ix *Index) useSpiral(sp *Spiral, eps float64) {
-	ix.probs = func(p Point) []float64 { return sp.Estimate(p, eps) }
+func (ix *Index) useSpiral(sp *quantify.Spiral, eps float64) {
+	ix.probs = func(p Point) []float64 { return sp.Estimate(toGeom(p), eps) }
 	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return sp.sp.EstimateInto(toGeom(p), eps, pi)
+		return sp.EstimateInto(toGeom(p), eps, pi)
 	}
 	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return sp.sp.EstimatePositiveInto(toGeom(p), eps, dst)
+		return sp.EstimatePositiveInto(toGeom(p), eps, dst)
 	}
 }
 
 func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		ix.nonzero = func(q geom.Point, dst []int) []int { return core.NonzeroSetInto(s.disks, q, dst) }
 	case BackendDiagram:
-		d := s.BuildDiagram()
-		ix.nonzero = d.Query
-		ix.nonzeroInto = d.queryInto
+		ix.nonzero = core.BuildDiagram(s.disks, core.DiagramOptions{}).QueryInto
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		ix.nonzero = nnq.NewContinuous(s.disks).QueryInto
 	}
 	panels := ix.cfg.panels
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
 		// No exact algorithm exists for continuous inputs; Eq. (1) is
 		// integrated numerically (the [CKP04]-style baseline).
-		ix.probs = func(p Point) []float64 { return s.IntegrateProbabilities(p, panels) }
+		ix.probs = func(p Point) []float64 { return baseline.IntegrateAll(s.conts, toGeom(p), panels) }
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
-		ix.useMonteCarlo(s.NewMonteCarlo(q.eps, q.delta, ix.rng()))
+		rounds := quantify.SampleCountContinuous(s.Len(), q.eps, q.delta)
+		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, rounds, ix.rng()))
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(s.NewMonteCarloRounds(q.rounds, ix.rng()))
+		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, q.rounds, ix.rng()))
 	case quantSpiral:
 		ix.eps = q.eps
 		// The Lemma 4.4 discretization adds a two-sided sampling term to
 		// the spiral's one-sided ε, so the continuous composition cannot
 		// certify thresholds one-sidedly; classify conservatively.
 		ix.twoSided = true
-		ix.useSpiral(s.NewSpiral(ix.cfg.spiralSamples, ix.rng()), q.eps)
+		sc := quantify.NewSpiralContinuous(s.conts, ix.cfg.spiralSamples, ix.rng())
+		ix.useSpiral(sc.Spiral, q.eps)
 	case quantVPr:
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
-	ix.expected = func(p Point) (int, float64) { return s.ExpectedNN(p, panels) }
+	ix.expected = func(p Point) (int, float64) {
+		return quantify.ExpectedNNContinuous(s.conts, toGeom(p), panels)
+	}
 	return nil
 }
 
 func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		// Derive the supports when a query runs, never here: every
+		// DynamicIndex view is built with this backend and never asks it
+		// for NN≠0.
+		ix.nonzero = func(q geom.Point, dst []int) []int {
+			return core.NonzeroSetDiscreteInto(s.derived().sups, q, dst)
+		}
 	case BackendDiagram:
-		d := s.BuildDiagram()
-		ix.nonzero = d.Query
-		ix.nonzeroInto = d.queryInto
+		ix.nonzero = core.BuildDiscreteDiagram(s.derived().sups, core.DiscreteDiagramOptions{}).QueryInto
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		ix.nonzero = nnq.NewDiscrete(s.derived().sups).QueryInto
 	}
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
 		// All three slots run the Lemma 2.1 window kernel; the sparse
 		// answer never touches an N-length vector.
-		ix.probs = s.ExactProbabilities
+		ix.probs = func(p Point) []float64 { return quantify.ExactAll(s.dists, toGeom(p)) }
 		ix.probsInto = func(p Point, pi []float64) []float64 {
 			return quantify.ExactAllInto(s.dists, toGeom(p), pi)
 		}
@@ -272,44 +275,42 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
-		ix.useMonteCarlo(s.NewMonteCarlo(q.eps, q.delta, ix.rng()))
+		rounds := quantify.SampleCountDiscrete(s.Len(), s.K(), q.eps, q.delta)
+		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, rounds, ix.rng()))
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(s.NewMonteCarloRounds(q.rounds, ix.rng()))
+		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, q.rounds, ix.rng()))
 	case quantSpiral:
-		sp := s.NewSpiral()
 		ix.eps = q.eps
-		ix.useSpiral(sp, q.eps)
+		ix.useSpiral(quantify.NewSpiral(s.dists), q.eps)
 	case quantVPr:
-		v := s.NewVPr(q.minX, q.minY, q.maxX, q.maxY)
+		box := geom.BBox{MinX: q.minX, MinY: q.minY, MaxX: q.maxX, MaxY: q.maxY}
+		v := quantify.NewVPr(s.dists, box)
 		// V_Pr stores one vector per diagram face; copy so callers can
 		// mutate results without corrupting the cache (and so batch
 		// results never alias each other).
 		ix.probs = func(p Point) []float64 {
-			pi := v.Query(p)
+			pi := v.Query(toGeom(p))
 			out := make([]float64, len(pi))
 			copy(out, pi)
 			return out
 		}
 		ix.probsInto = func(p Point, pi []float64) []float64 {
 			pi = pi[:0]
-			return append(pi, v.Query(p)...)
+			return append(pi, v.Query(toGeom(p))...)
 		}
 	}
-	ix.expected = s.ExpectedNN
+	ix.expected = func(p Point) (int, float64) { return quantify.ExpectedNNDiscrete(s.dists, toGeom(p)) }
 	return nil
 }
 
 func (ix *Index) buildSquare(s *SquareSet) error {
 	switch ix.cfg.backend {
 	case BackendDirect:
-		ix.nonzero = s.NonzeroAt
-		ix.nonzeroInto = s.nonzeroAtInto
+		ix.nonzero = func(q geom.Point, dst []int) []int { return linf.NonzeroSetInto(s.squares, q, dst) }
 	case BackendDiagram:
 		return fmt.Errorf("pnn: no diagram backend under L∞: %w", ErrUnsupported)
 	default:
-		nzi := s.NewNonzeroIndex()
-		ix.nonzero = nzi.Query
-		ix.nonzeroInto = nzi.queryInto
+		ix.nonzero = linf.Build(s.squares).QueryInto
 	}
 	// Quantification over square regions is an open extension; NN≠0 is
 	// the query family §3 Remark (ii) supports. Reject an explicitly
@@ -335,7 +336,7 @@ func (ix *Index) Eps() float64 { return ix.eps }
 // caller-owned (as are all Index results): mutating it never affects
 // later queries.
 func (ix *Index) Nonzero(q Point) ([]int, error) {
-	return ix.nonzero(q), nil
+	return ix.nonzero(toGeom(q), nil), nil
 }
 
 // NonzeroInto is Nonzero appending into buf (reused from its start,
@@ -343,10 +344,7 @@ func (ix *Index) Nonzero(q Point) ([]int, error) {
 // loops. The returned slice shares buf's memory and is only valid until
 // the next NonzeroInto call with the same buffer.
 func (ix *Index) NonzeroInto(q Point, buf []int) ([]int, error) {
-	if ix.nonzeroInto != nil {
-		return ix.nonzeroInto(q, buf), nil
-	}
-	return append(buf[:0], ix.nonzero(q)...), nil
+	return ix.nonzero(toGeom(q), buf), nil
 }
 
 // Probabilities returns π_i(q) for every point, computed by the

@@ -6,11 +6,19 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"pnn/internal/baseline"
+	"pnn/internal/core"
+	"pnn/internal/geom"
+	"pnn/internal/linf"
+	"pnn/internal/quantify"
 )
 
-// The facade must answer identically to the legacy per-set paths on
-// shared fixtures, for every data kind and backend.
+// The facade must answer identically to the internal reference
+// implementations it wires up, on shared fixtures, for every data kind
+// and backend.
 func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	pts := randomDiskPoints(r, 12)
@@ -18,7 +26,6 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for _, backend := range []NonzeroBackend{BackendIndex, BackendDirect} {
 		idx, err := New(set, WithNonzeroBackend(backend))
 		if err != nil {
@@ -30,12 +37,12 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalIntsPNN(got, legacyIx.Query(q)) {
-				t.Fatalf("backend %v disagrees with legacy at %v", backend, q)
+			if want := core.NonzeroSet(set.disks, toGeom(q)); !slices.Equal(got, want) {
+				t.Fatalf("backend %v disagrees with Lemma 2.1 at %v: %v vs %v", backend, q, got, want)
 			}
 		}
 	}
-	// Exact (integration) probabilities match the legacy call.
+	// Exact (integration) probabilities match the quadrature baseline.
 	idx, err := New(set, WithIntegrationPanels(256))
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func TestIndexMatchesLegacyContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := set.IntegrateProbabilities(q, 256)
+	want := baseline.IntegrateAll(set.conts, toGeom(q), 256)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("integration mismatch: %v vs %v", got, want)
 	}
@@ -61,18 +68,17 @@ func TestIndexMatchesLegacyDiscrete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		got, _ := idx.Nonzero(q)
-		if !equalIntsPNN(got, legacyIx.Query(q)) {
+		if !slices.Equal(got, core.NonzeroSetDiscrete(set.derived().sups, toGeom(q))) {
 			t.Fatalf("facade nonzero disagrees at %v", q)
 		}
 		pi, err := idx.Probabilities(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pi, set.ExactProbabilities(q)) {
+		if !reflect.DeepEqual(pi, quantify.ExactAll(set.dists, toGeom(q))) {
 			t.Fatalf("facade probabilities disagree at %v", q)
 		}
 	}
@@ -95,11 +101,10 @@ func TestIndexMatchesLegacySquare(t *testing.T) {
 	if idx.Metric() != Linf {
 		t.Fatalf("metric %v", idx.Metric())
 	}
-	legacyIx := set.NewNonzeroIndex()
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		got, _ := idx.Nonzero(q)
-		if !equalIntsPNN(got, legacyIx.Query(q)) {
+		if !slices.Equal(got, linf.NonzeroSet(set.squares, toGeom(q))) {
 			t.Fatalf("L∞ facade disagrees at %v", q)
 		}
 	}
@@ -112,8 +117,8 @@ func TestIndexMatchesLegacySquare(t *testing.T) {
 	}
 }
 
-// Every quantifier on the facade matches its legacy counterpart given
-// the same seed.
+// Every quantifier on the facade matches its internal structure built
+// directly from the same seed.
 func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 8, 3))
@@ -127,9 +132,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := mcIdx.Probabilities(q)
-	want := set.NewMonteCarloRounds(1500, rand.New(rand.NewSource(9))).Estimate(q)
+	want := quantify.NewMonteCarloDiscrete(set.dists, 1500, rand.New(rand.NewSource(9))).Estimate(toGeom(q))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MonteCarloBudget disagrees with seeded legacy path")
+		t.Fatal("MonteCarloBudget disagrees with the seeded estimator")
 	}
 
 	spIdx, err := New(set, WithQuantifier(SpiralSearch(0.05)))
@@ -137,9 +142,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = spIdx.Probabilities(q)
-	want = set.NewSpiral().Estimate(q, 0.05)
+	want = quantify.NewSpiral(set.dists).Estimate(toGeom(q), 0.05)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("SpiralSearch disagrees with legacy spiral")
+		t.Fatal("SpiralSearch disagrees with the spiral structure")
 	}
 
 	vprIdx, err := New(set, WithQuantifier(VPrDiagram(-10, -10, 110, 110)))
@@ -147,9 +152,9 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = vprIdx.Probabilities(q)
-	want = set.NewVPr(-10, -10, 110, 110).Query(q)
+	want = quantify.NewVPr(set.dists, geom.BBox{MinX: -10, MinY: -10, MaxX: 110, MaxY: 110}).Query(toGeom(q))
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("VPrDiagram disagrees with legacy V_Pr")
+		t.Fatal("VPrDiagram disagrees with the V_Pr structure")
 	}
 	// Facade results never alias the diagram's per-face cache: mutating
 	// one answer must not corrupt subsequent queries.
@@ -175,9 +180,9 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := set.TopKProbable(q, 3)
-	if !reflect.DeepEqual(top, legacy) {
-		t.Fatalf("TopK %v vs legacy %v", top, legacy)
+	exact := quantify.ExactAll(set.dists, toGeom(q))
+	if want := toIndexProbs(quantify.TopK(exact, 3)); !reflect.DeepEqual(top, want) {
+		t.Fatalf("TopK %v vs ranked sweep %v", top, want)
 	}
 
 	// Exact threshold: Certain only, matching direct comparison.
@@ -188,14 +193,14 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if len(res.Possible) != 0 {
 		t.Fatal("exact quantifier must not report Possible")
 	}
-	exact := set.ExactProbabilities(q)
 	for _, i := range res.Certain {
 		if exact[i] < 0.2 {
 			t.Fatalf("certain %d has π=%v", i, exact[i])
 		}
 	}
 
-	// Spiral threshold: one-sided classification matches the legacy path.
+	// Spiral threshold: one-sided classification matches the spiral
+	// structure's own.
 	spIdx, err := New(set, WithQuantifier(SpiralSearch(0.05)))
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +209,9 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := set.NewSpiral().Threshold(q, 0.25, 0.05)
+	want := quantify.NewSpiral(set.dists).Threshold(toGeom(q), 0.25, 0.05)
 	if !reflect.DeepEqual(got.Certain, want.Certain) || !reflect.DeepEqual(got.Possible, want.Possible) {
-		t.Fatalf("spiral threshold %+v vs legacy %+v", got, want)
+		t.Fatalf("spiral threshold %+v vs structure %+v", got, want)
 	}
 
 	// Two-sided Monte Carlo: Certain requires π̂ − ε ≥ tau, so every
@@ -351,7 +356,7 @@ func TestQueryBatchDeterministicAcrossWorkers(t *testing.T) {
 	// Results match single-query answers in input order.
 	for i, q := range qs[:8] {
 		nz, _ := idx.Nonzero(q)
-		if !equalIntsPNN(ref[i].Nonzero, nz) {
+		if !slices.Equal(ref[i].Nonzero, nz) {
 			t.Fatalf("batch result %d out of order", i)
 		}
 	}
@@ -403,7 +408,7 @@ func TestQueryBatchSquare(t *testing.T) {
 	if res[0].Probabilities != nil {
 		t.Fatal("square batch must not carry probabilities")
 	}
-	if !equalIntsPNN(res[0].Nonzero, []int{0}) {
+	if !slices.Equal(res[0].Nonzero, []int{0}) {
 		t.Fatalf("res[0] = %v", res[0].Nonzero)
 	}
 }

@@ -8,7 +8,11 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"pnn/internal/baseline"
+	"pnn/internal/quantify"
 )
 
 // All NN≠0 structures for disks answer identically away from boundaries:
@@ -20,16 +24,16 @@ func TestAllContinuousNonzeroStructuresAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := set.NewNonzeroIndex()
-		diag := set.BuildDiagram()
+		ix := mustNew(t, set)
+		diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
 		diagMiss := 0
 		for probe := 0; probe < 300; probe++ {
 			q := Pt(r.Float64()*120-10, r.Float64()*120-10)
-			brute := set.NonzeroAt(q)
-			if !equalIntsPNN(ix.Query(q), brute) {
+			brute := baseline.NonzeroBrute(set.disks, toGeom(q))
+			if !slices.Equal(mustNonzero(t, ix, q), brute) {
 				t.Fatalf("index vs brute at %v", q)
 			}
-			if !equalIntsPNN(diag.Query(q), brute) {
+			if !slices.Equal(mustNonzero(t, diag, q), brute) {
 				diagMiss++ // flattening-tolerance boundary effects only
 			}
 		}
@@ -47,16 +51,16 @@ func TestAllQuantifiersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vpr := set.NewVPr(-20, -20, 120, 120)
-	sp := set.NewSpiral()
-	mc := set.NewMonteCarloRounds(4000, r)
 	eps := 0.05
+	vpr := mustNew(t, set, WithQuantifier(VPrDiagram(-20, -20, 120, 120)))
+	sp := mustNew(t, set, WithQuantifier(SpiralSearch(eps)))
+	mc := mustNew(t, set, WithQuantifier(MonteCarloBudget(4000)), WithSeed(101))
 	vprMiss := 0
 	for probe := 0; probe < 60; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		exact := set.ExactProbabilities(q)
+		exact := quantify.ExactAll(set.dists, toGeom(q))
 		// V_Pr: exact up to cell-boundary roundoff.
-		vq := vpr.Query(q)
+		vq := mustProbabilities(t, vpr, q)
 		for i := range exact {
 			if math.Abs(vq[i]-exact[i]) > 1e-9 {
 				vprMiss++
@@ -64,14 +68,14 @@ func TestAllQuantifiersAgree(t *testing.T) {
 			}
 		}
 		// Spiral: one-sided.
-		sq := sp.Estimate(q, eps)
+		sq := mustProbabilities(t, sp, q)
 		for i := range exact {
 			if sq[i] > exact[i]+1e-9 || exact[i] > sq[i]+eps+1e-9 {
 				t.Fatalf("spiral bound at %v idx %d: %v vs %v", q, i, sq[i], exact[i])
 			}
 		}
 		// MC: two-sided with slack (4000 rounds → ~0.05 at 3σ).
-		mq := mc.Estimate(q)
+		mq := mustProbabilities(t, mc, q)
 		for i := range exact {
 			if math.Abs(mq[i]-exact[i]) > 0.07 {
 				t.Fatalf("MC at %v idx %d: %v vs %v", q, i, mq[i], exact[i])
@@ -103,23 +107,32 @@ func TestCertainPointCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cix := cset.NewNonzeroIndex()
-	dix := dset.NewNonzeroIndex()
+	cix := mustNew(t, cset)
+	dix := mustNew(t, dset)
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
 		want := nearestIndex(disks, q)
-		cg := cix.Query(q)
-		dg := dix.Query(q)
+		cg := mustNonzero(t, cix, q)
+		dg := mustNonzero(t, dix, q)
 		if len(cg) != 1 || cg[0] != want {
 			t.Fatalf("continuous collapse at %v: %v want [%d]", q, cg, want)
 		}
 		if len(dg) != 1 || dg[0] != want {
 			t.Fatalf("discrete collapse at %v: %v want [%d]", q, dg, want)
 		}
-		// The probability vector is an indicator.
-		pi := dset.ExactProbabilities(q)
-		if math.Abs(pi[want]-1) > 1e-12 {
+		// The probability vector is an indicator, for discrete points
+		// and for zero-radius disks alike.
+		if pi := quantify.ExactAll(dset.dists, toGeom(q)); math.Abs(pi[want]-1) > 1e-12 {
 			t.Fatalf("certain-point probability: %v", pi[want])
+		}
+		for i, p := range mustProbabilities(t, cix, q) {
+			indicator := 0.0
+			if i == want {
+				indicator = 1
+			}
+			if p != indicator {
+				t.Fatalf("continuous certain-point vector at %v: π_%d = %v, want %v", q, i, p, indicator)
+			}
 		}
 	}
 }
@@ -147,15 +160,38 @@ func TestContinuousQuantifiersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := set.NewMonteCarloRounds(20000, rand.New(rand.NewSource(103)))
+	mc := mustNew(t, set, WithQuantifier(MonteCarloBudget(20000)), WithSeed(103))
 	for _, q := range []Point{{X: 2, Y: 2}, {X: 0, Y: 4}} {
-		est := mc.Estimate(q)
-		ref := set.IntegrateProbabilities(q, 512)
+		est := mustProbabilities(t, mc, q)
+		ref := baseline.IntegrateAll(set.conts, toGeom(q), 512)
 		for i := range ref {
 			if math.Abs(est[i]-ref[i]) > 0.02 {
 				t.Fatalf("MC vs integration at %v idx %d: %v vs %v", q, i, est[i], ref[i])
 			}
 		}
+	}
+	// A zero-radius disk mixed with uncertain ones: the certain point is
+	// a point mass, whose π is the chance every other point lies farther.
+	mixed, err := NewContinuousSet([]DiskPoint{
+		{Support: Disk{Center: Pt(1, 0), R: 0}},
+		{Support: Disk{Center: Pt(1.5, 0), R: 1}},
+		{Support: Disk{Center: Pt(-1.2, 0), R: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Pt(0, 0)
+	exact := mustProbabilities(t, mustNew(t, mixed), q)
+	est := mustProbabilities(t, mustNew(t, mixed, WithQuantifier(MonteCarloBudget(20000)), WithSeed(103)), q)
+	sum := 0.0
+	for i := range exact {
+		sum += exact[i]
+		if math.Abs(est[i]-exact[i]) > 0.02 {
+			t.Fatalf("mixed set: MC vs integration idx %d: %v vs %v", i, est[i], exact[i])
+		}
+	}
+	if math.Abs(sum-1) > 1e-2 {
+		t.Fatalf("mixed set: Σπ = %v, vector %v", sum, exact)
 	}
 }
 
@@ -166,7 +202,6 @@ func TestProbabilityMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := set.NewSpiral()
 	q := Pt(50, 50)
 	sum := func(xs []float64) float64 {
 		s := 0.0
@@ -175,13 +210,13 @@ func TestProbabilityMassConservation(t *testing.T) {
 		}
 		return s
 	}
-	if s := sum(set.ExactProbabilities(q)); math.Abs(s-1) > 1e-9 {
+	if s := sum(mustProbabilities(t, mustNew(t, set), q)); math.Abs(s-1) > 1e-9 {
 		t.Fatalf("exact mass %v", s)
 	}
 	// Spiral may undercount by at most ε per point but the total deficit
 	// is bounded by the retrieved tail mass; with ε=0.01 on this workload
 	// it stays near 1.
-	if s := sum(sp.Estimate(q, 0.01)); s < 0.9 || s > 1+1e-9 {
+	if s := sum(mustProbabilities(t, mustNew(t, set, WithQuantifier(SpiralSearch(0.01))), q)); s < 0.9 || s > 1+1e-9 {
 		t.Fatalf("spiral mass %v", s)
 	}
 }

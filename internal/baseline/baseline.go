@@ -65,7 +65,16 @@ func IntegrateQuantification(pts []dist.Continuous, q geom.Point, i int, panels 
 	lo := sup.MinDist(q)
 	hi := sup.MaxDist(q)
 	if hi <= lo {
-		return 0
+		// A zero-radius support is a point mass at r₀ = lo, so π_i is the
+		// chance every other point lies farther: Π_{j≠i} (1 − G_{q,j}(r₀)).
+		// A second point mass at r₀ zeroes both, a measure-zero tie.
+		v := 1.0
+		for j, p := range pts {
+			if j != i {
+				v *= 1 - p.DistCDF(q, lo)
+			}
+		}
+		return v
 	}
 	f := func(r float64) float64 {
 		v := pts[i].DistPDF(q, r)

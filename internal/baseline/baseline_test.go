@@ -38,6 +38,34 @@ func TestIntegrateDominatedDisk(t *testing.T) {
 	}
 }
 
+func TestIntegratePointMass(t *testing.T) {
+	// A zero-radius disk is a point mass: its π is the chance every
+	// other point lies farther, not the 0 a quadrature over an empty
+	// interval gives.
+	mixed := []dist.Continuous{
+		dist.UniformDisk{D: geom.Dsk(1, 0, 0)},
+		dist.UniformDisk{D: geom.Dsk(1.5, 0, 1)},
+		dist.UniformDisk{D: geom.Dsk(-1.2, 0, 0.5)},
+	}
+	pi := IntegrateAll(mixed, geom.Pt(0, 0), 512)
+	if sum := pi[0] + pi[1] + pi[2]; math.Abs(sum-1) > 1e-2 || math.Abs(pi[0]-0.67) > 0.01 {
+		t.Fatalf("mixed π = %v (Σ %v)", pi, sum)
+	}
+	// Certain points alone: the nearest gets exactly 1, the rest 0, and
+	// two at the same distance tie at 0 (a measure-zero query).
+	certain := []dist.Continuous{
+		dist.UniformDisk{D: geom.Dsk(1, 0, 0)},
+		dist.UniformDisk{D: geom.Dsk(3, 0, 0)},
+		dist.UniformDisk{D: geom.Dsk(-3, 0, 0)},
+	}
+	if pi := IntegrateAll(certain, geom.Pt(0, 0), 64); pi[0] != 1 || pi[1] != 0 || pi[2] != 0 {
+		t.Fatalf("certain π = %v, want [1 0 0]", pi)
+	}
+	if pi := IntegrateAll(certain[1:], geom.Pt(0, 0), 64); pi[0] != 0 || pi[1] != 0 {
+		t.Fatalf("tied certain π = %v, want [0 0]", pi)
+	}
+}
+
 func TestIntegrateSumsToOne(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {

@@ -9,7 +9,8 @@
 // maximum radius: a subtree is pruned when dist(q, bbox) − maxR ≥ Δ and
 // reported wholesale when maxDist(q, bbox) + ... every member qualifies.
 // Queries are output-sensitive and logarithmic on bounded-density inputs;
-// correctness is unconditional. DESIGN.md §5 records the substitution.
+// correctness is unconditional; only the worst-case query bound is given
+// up.
 package diskindex
 
 import (

@@ -35,6 +35,9 @@ func NewDiscrete(locs []geom.Point, w []float64) (*Discrete, error) {
 	}
 	sum := 0.0
 	for t, wt := range w {
+		if math.IsNaN(wt) || math.IsInf(wt, 0) {
+			return nil, fmt.Errorf("dist: weight %d is not finite (%g)", t, wt)
+		}
 		if wt < 0 {
 			return nil, fmt.Errorf("dist: weight %d is negative (%g)", t, wt)
 		}

@@ -21,6 +21,9 @@ func TestNewDiscreteValidation(t *testing.T) {
 	if _, err := NewDiscrete([]geom.Point{{}, {X: 1}}, []float64{0.3, 0.3}); err == nil {
 		t.Fatal("weights not summing to 1 must error")
 	}
+	if _, err := NewDiscrete([]geom.Point{{}, {X: 1}}, []float64{math.NaN(), 1}); err == nil {
+		t.Fatal("NaN weight must error")
+	}
 	d, err := NewDiscrete([]geom.Point{{}, {X: 1}}, []float64{0.25, 0.75})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,8 @@
 // two-stage structure carries over — stage 1 computes the L∞ weighted
 // envelope Δ∞(q), stage 2 reports axis-aligned squares intersecting a
 // query square. Both stages here use a best-first kd-tree with L∞ bounds,
-// the same substitution pattern as the L₂ case (DESIGN.md §5).
+// the same substitution of practical structures for the paper's
+// worst-case ones as the L₂ case (see package nnq).
 package linf
 
 import (

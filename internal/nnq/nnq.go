@@ -11,7 +11,9 @@
 //     distance Δ(q) of q via one global kd-tree disk query.
 //
 // Both structures answer exactly; the partition-tree machinery of the
-// paper is replaced by practical equivalents per DESIGN.md §5.
+// paper is replaced by practical equivalents (the awvd envelope, the
+// diskindex kd-tree, hull scans), so the query bounds are expected, not
+// worst-case.
 package nnq
 
 import (

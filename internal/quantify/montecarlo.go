@@ -18,8 +18,8 @@ import (
 // SampleCountContinuous (Theorems 4.3 and 4.5).
 //
 // The paper stores each round as a Voronoi diagram with a point-location
-// structure; the kd-tree used here answers the same NN query in the same
-// logarithmic expected time (DESIGN.md §5).
+// structure; the kd-tree used here answers the same NN query exactly, in
+// logarithmic expected time rather than the diagram's worst-case bound.
 type MonteCarlo struct {
 	n      int
 	rounds []*kdtree.Tree

@@ -16,7 +16,7 @@ import (
 // π̂_i(q) ≤ π_i(q) ≤ π̂_i(q) + ε. Preprocessing is O(N log N), queries run
 // in O(m log N + m log m) with m = m(ρ, ε) — the paper's
 // O(ρk log(ρ/ε) + log N) with the kd-tree k-NN standing in for the [AC09]
-// structure (DESIGN.md §5).
+// structure (exact answers, expected rather than worst-case query time).
 type Spiral struct {
 	n       int
 	k       int     // max description complexity

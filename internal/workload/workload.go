@@ -1,5 +1,5 @@
-// Package workload generates the inputs for every experiment in
-// EXPERIMENTS.md: random uncertain-point sets (continuous and discrete),
+// Package workload generates the inputs for every cmd/pnnbench
+// experiment (see `pnnbench -experiment list`): random uncertain-point sets (continuous and discrete),
 // disjoint-disk families with bounded radius ratio λ (Theorem 2.10's upper
 // bound regime), and the paper's explicit lower-bound constructions
 // (Theorems 2.7, 2.8, 2.10 and Lemma 4.1).

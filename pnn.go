@@ -3,6 +3,7 @@ package pnn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"pnn/internal/core"
@@ -77,9 +78,41 @@ func (p DiskPoint) continuous() dist.Continuous {
 	}
 }
 
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// validate rejects a disk point no structure can answer for: a
+// non-finite center, radius or σ, or a negative radius.
+func (p DiskPoint) validate() error {
+	c := p.Support.Center
+	if !finite(c.X, c.Y, p.Support.R, p.Sigma) {
+		return fmt.Errorf("non-finite disk point (center %v, radius %g, sigma %g)", c, p.Support.R, p.Sigma)
+	}
+	if p.Support.R < 0 {
+		return fmt.Errorf("negative disk radius %g", p.Support.R)
+	}
+	return nil
+}
+
+// discrete validates p — at least one location, every coordinate
+// finite, weights (when given) a finite distribution — and returns its
+// distribution.
 func (p DiscretePoint) discrete() (*dist.Discrete, error) {
+	if len(p.Locations) == 0 {
+		return nil, errors.New("discrete point with no locations")
+	}
 	locs := make([]geom.Point, len(p.Locations))
 	for i, l := range p.Locations {
+		if !finite(l.X, l.Y) {
+			return nil, fmt.Errorf("non-finite location %d %v", i, l)
+		}
 		locs[i] = toGeom(l)
 	}
 	if p.Weights == nil {
@@ -102,8 +135,8 @@ func NewContinuousSet(points []DiskPoint) (*ContinuousSet, error) {
 	}
 	s := &ContinuousSet{points: points}
 	for i, p := range points {
-		if p.Support.R < 0 {
-			return nil, fmt.Errorf("pnn: point %d has negative radius", i)
+		if err := p.validate(); err != nil {
+			return nil, fmt.Errorf("pnn: point %d: %w", i, err)
 		}
 		s.disks = append(s.disks, toDisk(p.Support))
 		s.conts = append(s.conts, p.continuous())
@@ -113,18 +146,6 @@ func NewContinuousSet(points []DiskPoint) (*ContinuousSet, error) {
 
 // Len returns the number of uncertain points.
 func (s *ContinuousSet) Len() int { return len(s.points) }
-
-// NonzeroAt returns NN≠0(q) by direct evaluation of Lemma 2.1 in O(n).
-//
-// Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
-func (s *ContinuousSet) NonzeroAt(q Point) []int {
-	return core.NonzeroSet(s.disks, toGeom(q))
-}
-
-// nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
-func (s *ContinuousSet) nonzeroAtInto(q Point, dst []int) []int {
-	return core.NonzeroSetInto(s.disks, toGeom(q), dst)
-}
 
 // DiscreteSet is a collection of discrete uncertain points.
 type DiscreteSet struct {
@@ -191,16 +212,4 @@ func (s *DiscreteSet) Spread() float64 {
 		return 1
 	}
 	return hi / lo
-}
-
-// NonzeroAt returns NN≠0(q) by direct evaluation in O(nk).
-//
-// Deprecated: query through the Index facade: New(set, WithNonzeroBackend(BackendDirect)).
-func (s *DiscreteSet) NonzeroAt(q Point) []int {
-	return core.NonzeroSetDiscrete(s.derived().sups, toGeom(q))
-}
-
-// nonzeroAtInto is NonzeroAt appending into dst (reused from its start).
-func (s *DiscreteSet) nonzeroAtInto(q Point, dst []int) []int {
-	return core.NonzeroSetDiscreteInto(s.derived().sups, toGeom(q), dst)
 }

@@ -3,7 +3,12 @@ package pnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"pnn/internal/baseline"
+	"pnn/internal/core"
+	"pnn/internal/quantify"
 )
 
 func randomDiskPoints(r *rand.Rand, n int) []DiskPoint {
@@ -43,6 +48,19 @@ func TestNewSetValidation(t *testing.T) {
 	if _, err := NewContinuousSet([]DiskPoint{{Support: Disk{R: -1}}}); err == nil {
 		t.Fatal("negative radius must error")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, p := range map[string]DiskPoint{
+		"NaN center": {Support: Disk{Center: Pt(nan, 0), R: 1}},
+		"Inf center": {Support: Disk{Center: Pt(0, -inf), R: 1}},
+		"NaN radius": {Support: Disk{R: nan}},
+		"Inf radius": {Support: Disk{R: inf}},
+		"NaN sigma":  {Support: Disk{R: 1}, Density: TruncatedGaussian, Sigma: nan},
+		"Inf sigma":  {Support: Disk{R: 1}, Density: TruncatedGaussian, Sigma: inf},
+	} {
+		if _, err := NewContinuousSet([]DiskPoint{p}); err == nil {
+			t.Errorf("%s: continuous point accepted", name)
+		}
+	}
 	if _, err := NewDiscreteSet(nil); err == nil {
 		t.Fatal("empty discrete set must error")
 	}
@@ -51,6 +69,17 @@ func TestNewSetValidation(t *testing.T) {
 		Weights:   []float64{0.4},
 	}}); err == nil {
 		t.Fatal("weights not summing to 1 must error")
+	}
+	for name, p := range map[string]DiscretePoint{
+		"no locations": {},
+		"NaN location": {Locations: []Point{{nan, 0}}},
+		"Inf location": {Locations: []Point{{0, 0}, {0, inf}}, Weights: []float64{0.5, 0.5}},
+		"NaN weight":   {Locations: []Point{{0, 0}, {1, 1}}, Weights: []float64{nan, 1}},
+		"Inf weight":   {Locations: []Point{{0, 0}, {1, 1}}, Weights: []float64{inf, -inf}},
+	} {
+		if _, err := NewDiscreteSet([]DiscretePoint{p}); err == nil {
+			t.Errorf("%s: discrete point accepted", name)
+		}
 	}
 	// nil weights mean uniform.
 	s, err := NewDiscreteSet([]DiscretePoint{{Locations: []Point{{0, 0}, {1, 1}}}})
@@ -62,35 +91,30 @@ func TestNewSetValidation(t *testing.T) {
 	}
 }
 
+// Every NN≠0 backend over disks answers like the brute Lemma 2.1 oracle:
+// the two-stage index exactly, the diagram up to its flattening
+// tolerance.
 func TestPublicContinuousPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	set, err := NewContinuousSet(randomDiskPoints(r, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag := set.BuildDiagram()
-	ix := set.NewNonzeroIndex()
-	st := diag.Stats()
-	if st.Vertices != st.Breakpoints+st.Crossings {
-		t.Fatal("stats must partition")
-	}
-	agree := 0
+	ix := mustNew(t, set)
+	diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
+	diagMiss := 0
 	for probe := 0; probe < 200; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		brute := set.NonzeroAt(q)
-		viaIx := ix.Query(q)
-		if equalIntsPNN(brute, viaIx) {
-			agree++
+		brute := baseline.NonzeroBrute(set.disks, toGeom(q))
+		if got := mustNonzero(t, ix, q); !slices.Equal(got, brute) {
+			t.Fatalf("index disagrees with brute at %v: %v vs %v", q, got, brute)
 		}
-		// Diagram queries may differ on flattening-tolerance boundaries;
-		// require the fast index to match brute exactly.
-		if !equalIntsPNN(brute, viaIx) {
-			t.Fatalf("index disagrees with brute at %v: %v vs %v", q, viaIx, brute)
+		if !slices.Equal(mustNonzero(t, diag, q), brute) {
+			diagMiss++
 		}
-		_ = diag.Query(q)
 	}
-	if agree != 200 {
-		t.Fatalf("agreement %d/200", agree)
+	if diagMiss > 10 {
+		t.Fatalf("diagram missed %d/200", diagMiss)
 	}
 }
 
@@ -100,16 +124,16 @@ func TestPublicDiscretePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := set.NewNonzeroIndex()
+	ix := mustNew(t, set)
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(set.NonzeroAt(q), ix.Query(q)) {
+		if !slices.Equal(mustNonzero(t, ix, q), baseline.NonzeroBruteDiscrete(set.derived().sups, toGeom(q))) {
 			t.Fatalf("discrete index disagrees at %v", q)
 		}
 	}
 	// Probabilities: exact vs spiral vs Monte Carlo.
 	q := Pt(50, 50)
-	exact := set.ExactProbabilities(q)
+	exact := quantify.ExactAll(set.dists, toGeom(q))
 	sum := 0.0
 	for _, p := range exact {
 		sum += p
@@ -117,16 +141,17 @@ func TestPublicDiscretePipeline(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("Σπ = %v", sum)
 	}
-	sp := set.NewSpiral()
+	if got := mustProbabilities(t, ix, q); !slices.Equal(got, exact) {
+		t.Fatalf("exact facade %v vs sweep %v", got, exact)
+	}
 	eps := 0.05
-	approx := sp.Estimate(q, eps)
+	approx := mustProbabilities(t, mustNew(t, set, WithQuantifier(SpiralSearch(eps))), q)
 	for i := range exact {
 		if approx[i] > exact[i]+1e-9 || exact[i] > approx[i]+eps+1e-9 {
 			t.Fatalf("spiral bound violated at %d: %v vs %v", i, approx[i], exact[i])
 		}
 	}
-	mc := set.NewMonteCarloRounds(3000, r)
-	est := mc.Estimate(q)
+	est := mustProbabilities(t, mustNew(t, set, WithQuantifier(MonteCarloBudget(3000)), WithSeed(2)), q)
 	for i := range exact {
 		if math.Abs(est[i]-exact[i]) > 0.05 {
 			t.Fatalf("MC estimate off at %d: %v vs %v", i, est[i], exact[i])
@@ -140,15 +165,12 @@ func TestPublicVPr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := set.NewVPr(-10, -10, 110, 110)
-	if v.Faces() < 2 {
-		t.Fatalf("faces %d", v.Faces())
-	}
+	v := mustNew(t, set, WithQuantifier(VPrDiagram(-10, -10, 110, 110)))
 	mismatches := 0
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		got := v.Query(q)
-		want := set.ExactProbabilities(q)
+		got := mustProbabilities(t, v, q)
+		want := quantify.ExactAll(set.dists, toGeom(q))
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-9 {
 				mismatches++
@@ -167,30 +189,16 @@ func TestPublicDiscreteDiagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag := set.BuildDiagram()
+	diag := mustNew(t, set, WithNonzeroBackend(BackendDiagram))
 	errors := 0
 	for probe := 0; probe < 100; probe++ {
 		q := Pt(r.Float64()*100, r.Float64()*100)
-		if !equalIntsPNN(diag.Query(q), set.NonzeroAt(q)) {
+		if !slices.Equal(mustNonzero(t, diag, q), core.NonzeroSetDiscrete(set.derived().sups, toGeom(q))) {
 			errors++
 		}
 	}
 	if errors > 3 {
 		t.Fatalf("diagram disagrees on %d/100 queries", errors)
-	}
-}
-
-func TestComplexityOnlyOption(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	set, _ := NewContinuousSet(randomDiskPoints(r, 8))
-	diag := set.BuildDiagram(ComplexityOnly())
-	if diag.Stats().Faces != 0 {
-		t.Fatal("complexity-only diagram must not build faces")
-	}
-	// Query still answers via fallback.
-	q := Pt(50, 50)
-	if !equalIntsPNN(diag.Query(q), set.NonzeroAt(q)) {
-		t.Fatal("fallback query mismatch")
 	}
 }
 
@@ -202,7 +210,7 @@ func TestGaussianDiskPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := set.IntegrateProbabilities(Pt(5, 0), 256)
+	pi := mustProbabilities(t, mustNew(t, set, WithIntegrationPanels(256)), Pt(5, 0))
 	if math.Abs(pi[0]+pi[1]-1) > 1e-2 {
 		t.Fatalf("Σπ = %v", pi[0]+pi[1])
 	}
@@ -211,6 +219,8 @@ func TestGaussianDiskPoint(t *testing.T) {
 	}
 }
 
+// The spiral's retrieval size m(ρ, ε) is covered by
+// quantify.TestSpiralRetrievalSize; this checks the public spread ρ.
 func TestSpreadAndRetrievalSize(t *testing.T) {
 	set, err := NewDiscreteSet([]DiscretePoint{
 		{Locations: []Point{{0, 0}, {1, 0}}, Weights: []float64{0.2, 0.8}},
@@ -222,20 +232,32 @@ func TestSpreadAndRetrievalSize(t *testing.T) {
 	if got := set.Spread(); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("spread %v", got)
 	}
-	sp := set.NewSpiral()
-	if sp.RetrievalSize(0.1) < 2 {
-		t.Fatal("retrieval size too small")
-	}
 }
 
-func equalIntsPNN(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// mustNew builds an Index or fails the test.
+func mustNew(t *testing.T, set UncertainSet, opts ...Option) *Index {
+	t.Helper()
+	ix, err := New(set, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	return ix
+}
+
+func mustNonzero(t *testing.T, ix *Index, q Point) []int {
+	t.Helper()
+	nz, err := ix.Nonzero(q)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return true
+	return nz
+}
+
+func mustProbabilities(t *testing.T, ix *Index, q Point) []float64 {
+	t.Helper()
+	pi, err := ix.Probabilities(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pi
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# One-shot local gate mirroring the CI lint and test jobs, in CI
-# order: format, vet, pnnvet, build, tests (root module, then the
-# benchmark module). `make check` wraps it; CHECK_RACE=1 adds the
-# full-matrix race pass the CI race job runs.
+# One-shot local gate mirroring the CI lint, test and coverage jobs, in
+# CI order: format, vet, pnnvet, build, tests under the coverage floor
+# (root module, then the benchmark module). `make check` wraps it;
+# CHECK_RACE=1 adds the full-matrix race pass the CI race job runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,8 +30,8 @@ fi
 echo "== build"
 go build ./...
 
-echo "== tests"
-go test ./...
+echo "== tests + coverage floor"
+./scripts/coverage.sh
 
 echo "== benchmark module (vet + tests)"
 (cd benchmark && go vet ./... && go test ./...)
