@@ -41,7 +41,7 @@ func testServerURL(t *testing.T) (*Client, pnn.UncertainSet, string) {
 	if err := reg.Add("fleet", set); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(reg, server.Config{BatchWindow: -1})
+	srv := server.New(reg, server.Config{})
 	t.Cleanup(srv.Close)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)

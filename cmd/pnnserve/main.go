@@ -1,7 +1,7 @@
 // Command pnnserve hosts named uncertain-point datasets behind the
 // pnnserve HTTP/JSON API: the full pnn.Index query surface plus
-// /healthz and /metrics, with request coalescing and an LRU result
-// cache (see pnn/server).
+// /healthz and /metrics, with natural request batching and an LRU
+// result cache (see pnn/server).
 //
 // Usage:
 //
@@ -56,9 +56,6 @@ import (
 var (
 	addr        = flag.String("addr", ":8080", "listen address")
 	cacheSize   = flag.Int("cache", 4096, "LRU result-cache entries (0 disables)")
-	batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "coalescing window (0 disables)")
-	batchMax    = flag.Int("batch-max", 64, "max coalesced batch size")
-	batchWork   = flag.Int("batch-workers", 0, "workers per batch (0 = GOMAXPROCS)")
 	timeout     = flag.Duration("timeout", 30*time.Second, "per-request timeout (0 disables)")
 	storeDir    = flag.String("store", "", "durable store directory (WAL + snapshots); empty = read-only datasets")
 	adminToken  = flag.String("admin-token", "", "bearer token for the mutation endpoints (empty disables them)")
@@ -151,9 +148,6 @@ func main() {
 
 	srv := server.New(reg, server.Config{
 		CacheSize:          orDisabled(*cacheSize),
-		BatchWindow:        orDisabledDur(*batchWindow),
-		BatchMaxSize:       *batchMax,
-		BatchWorkers:       *batchWork,
 		RequestTimeout:     orDisabledDur(*timeout),
 		Store:              st,
 		AdminToken:         *adminToken,

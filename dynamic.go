@@ -80,6 +80,8 @@ type DynamicIndex struct {
 	// queries; nil until the first such query (or when empty).
 	view      *Index
 	viewDirty bool
+	// viewRebuilds counts the views viewIndex has built.
+	viewRebuilds uint64
 
 	// rebuiltBase accumulates the rebuild-work counters of trackers
 	// retired by compact, so Stats reports a lifetime total.
@@ -502,6 +504,7 @@ func (d *DynamicIndex) viewIndex() (*Index, error) {
 	}
 	d.view = v
 	d.viewDirty = false
+	d.viewRebuilds++
 	return v, nil
 }
 
@@ -675,15 +678,18 @@ func (d *DynamicIndex) applyOp(r Request) OpResult {
 
 // DynamicStats reports the engine's amortized-cost counters: the live
 // point count, the arena garbage awaiting compaction, the bucket count
-// of the logarithmic decomposition, and the cumulative number of members
+// of the logarithmic decomposition, the cumulative number of members
 // passed through static bucket (re)builds since construction — the
 // Bentley–Saxe amortized work a rebuild-per-write design would pay in
-// full on every mutation.
+// full on every mutation — and the number of static quantification
+// views built, at most one per run of writes followed by a
+// quantification read.
 type DynamicStats struct {
 	Live           int
 	Garbage        int
 	Buckets        int
 	RebuiltMembers uint64
+	ViewRebuilds   uint64
 }
 
 // Stats returns the current cost counters.
@@ -695,6 +701,7 @@ func (d *DynamicIndex) Stats() DynamicStats {
 		Garbage:        len(d.items) - len(d.liveSlots),
 		Buckets:        len(d.tracker.Buckets()),
 		RebuiltMembers: d.rebuiltBase + d.tracker.Rebuilt(),
+		ViewRebuilds:   d.viewRebuilds,
 	}
 }
 

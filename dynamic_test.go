@@ -514,3 +514,69 @@ func TestDynamicIDsAndRanks(t *testing.T) {
 		t.Fatalf("TopK at deleted-shifted rank = %v, want index 3", top)
 	}
 }
+
+// TestDynamicViewRebuildCounts pins the view's rebuild rule for each
+// quantifier that reads through it: a run of writes followed by
+// quantification reads builds exactly one view, a repeated read builds
+// none, and Nonzero (answered from the buckets) never builds one.
+func TestDynamicViewRebuildCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		quant Quantifier
+	}{
+		{"exact", Exact()},
+		{"spiral", SpiralSearch(0.05)},
+		{"mcbudget", MonteCarloBudget(200)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := NewDynamic(WithQuantifier(tc.quant))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rebuilds := func() uint64 { return d.Stats().ViewRebuilds }
+			q := Pt(20, 20)
+			// An empty index answers without a view.
+			if _, err := d.Probabilities(q); err != nil {
+				t.Fatal(err)
+			}
+			if got := rebuilds(); got != 0 {
+				t.Fatalf("empty index: %d view rebuilds, want 0", got)
+			}
+			r := rand.New(rand.NewSource(7))
+			h := &dynHarness{t: t, dyn: d, kind: "discrete"}
+			reads := []func() error{
+				func() error { _, err := d.Probabilities(q); return err },
+				func() error { _, err := d.TopK(q, 3); return err },
+				func() error { _, err := d.Threshold(q, 0.2); return err },
+				func() error { _, _, err := d.ExpectedNN(q); return err },
+			}
+			var want uint64
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 5; i++ {
+					h.insertRandom(r)
+				}
+				if round > 0 {
+					h.deleteRandom(r)
+				}
+				if got := rebuilds(); got != want {
+					t.Fatalf("round %d: writes alone built views (%d, want %d)", round, got, want)
+				}
+				if _, err := d.Nonzero(q); err != nil {
+					t.Fatal(err)
+				}
+				if got := rebuilds(); got != want {
+					t.Fatalf("round %d: Nonzero built a view (%d, want %d)", round, got, want)
+				}
+				want++
+				for i, read := range reads {
+					if err := read(); err != nil {
+						t.Fatal(err)
+					}
+					if got := rebuilds(); got != want {
+						t.Fatalf("round %d read %d: %d view rebuilds, want %d", round, i, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ package pnn
 // per-module oracle tests.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -170,28 +171,48 @@ func TestContinuousQuantifiersAgree(t *testing.T) {
 			}
 		}
 	}
-	// A zero-radius disk mixed with uncertain ones: the certain point is
-	// a point mass, whose π is the chance every other point lies farther.
-	mixed, err := NewContinuousSet([]DiskPoint{
-		{Support: Disk{Center: Pt(1, 0), R: 0}},
-		{Support: Disk{Center: Pt(1.5, 0), R: 1}},
-		{Support: Disk{Center: Pt(-1.2, 0), R: 0.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Pt(0, 0)
-	exact := mustProbabilities(t, mustNew(t, mixed), q)
-	est := mustProbabilities(t, mustNew(t, mixed, WithQuantifier(MonteCarloBudget(20000)), WithSeed(103)), q)
-	sum := 0.0
-	for i := range exact {
-		sum += exact[i]
-		if math.Abs(est[i]-exact[i]) > 0.02 {
-			t.Fatalf("mixed set: MC vs integration idx %d: %v vs %v", i, est[i], exact[i])
+	// Supports that are small relative to their distance from q, down to
+	// R² below float64 precision relative to d², and a zero radius: a
+	// point mass, whose π is the chance every other point lies farther.
+	agree := func(name string, pts []DiskPoint, q Point) {
+		t.Helper()
+		set, err := NewContinuousSet(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := mustProbabilities(t, mustNew(t, set), q)
+		est := mustProbabilities(t, mustNew(t, set, WithQuantifier(MonteCarloBudget(20000)), WithSeed(103)), q)
+		sum := 0.0
+		for i := range exact {
+			sum += exact[i]
+			if math.Abs(est[i]-exact[i]) > 0.02 {
+				t.Fatalf("%s: MC vs integration idx %d: %v vs %v", name, i, est[i], exact[i])
+			}
+		}
+		if math.Abs(sum-1) > 1e-2 {
+			t.Fatalf("%s: Σπ = %v, vector %v", name, sum, exact)
 		}
 	}
-	if math.Abs(sum-1) > 1e-2 {
-		t.Fatalf("mixed set: Σπ = %v, vector %v", sum, exact)
+	for _, dens := range []Density{Uniform, TruncatedGaussian} {
+		for _, r := range []float64{0, 1e-12, 1e-9, 1e-8, 3e-8} {
+			agree(fmt.Sprintf("mixed set (density %d, R %g)", dens, r), []DiskPoint{
+				{Support: Disk{Center: Pt(1, 0), R: r}, Density: dens},
+				{Support: Disk{Center: Pt(1.5, 0), R: 1}, Density: dens},
+				{Support: Disk{Center: Pt(-1.2, 0), R: 0.5}, Density: dens},
+			}, Pt(0, 0))
+		}
+		// Two coincident tiny disks tie at 1/2 each.
+		for _, r := range []float64{2e-7, 1e-9, 1e-12} {
+			tiny := DiskPoint{Support: Disk{Center: Pt(1, 0), R: r}, Density: dens}
+			agree(fmt.Sprintf("coincident tiny disks (density %d, R %g)", dens, r), []DiskPoint{tiny, tiny}, Pt(0, 0))
+		}
+		// Two overlapping unit disks far from the query.
+		for _, far := range []float64{3e6, 1e9} {
+			agree(fmt.Sprintf("far disks (density %d, at %g)", dens, far), []DiskPoint{
+				{Support: Disk{Center: Pt(far, 0), R: 1}, Density: dens},
+				{Support: Disk{Center: Pt(far+0.5, 0.3), R: 1}, Density: dens},
+			}, Pt(0, 0))
+		}
 	}
 }
 

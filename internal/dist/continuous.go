@@ -75,18 +75,15 @@ func (u UniformDisk) DistPDF(q geom.Point, r float64) float64 {
 	if r > d+R || r < d-R {
 		return 0
 	}
-	if d <= 1e-12 {
-		// Query at the center: full circles up to radius R. The value at
-		// r = R is the left limit, so quadrature endpoints are exact.
-		return 2 * r / (R * R)
-	}
 	if r <= R-d {
-		// The circle around q lies entirely inside the disk.
+		// The circle around q lies entirely inside the disk. With q at the
+		// center this includes r = R (the left limit), so quadrature
+		// endpoints are exact.
 		return 2 * r / (R * R)
 	}
-	// Partial arc: half-angle θ with cos θ = (d² + r² − R²)/(2dr).
-	cosTh := (d*d + r*r - R*R) / (2 * d * r)
-	th := math.Acos(math.Max(-1, math.Min(1, cosTh)))
+	// Partial arc of half-angle θ: the angle at q of the triangle with
+	// sides d, r and R.
+	th := geom.TriangleAngle(d, r, R)
 	return 2 * r * th / (math.Pi * R * R)
 }
 
@@ -137,26 +134,18 @@ func (g TruncatedGaussian) DistPDF(q geom.Point, r float64) float64 {
 	if r >= d+R || r <= d-R {
 		return 0
 	}
-	if d < 1e-12 {
+	if d == 0 {
 		// Query at the center: the whole circle is inside for r < R.
-		if r >= R {
-			return 0
-		}
 		return 2 * math.Pi * r * math.Exp(-r*r/(2*s2)) / z
 	}
 	// θ measured from the direction q → c; the point at angle θ has
-	// squared distance d² + r² − 2dr·cos θ to the center and lies inside
-	// the disk iff cos θ ≥ (d² + r² − R²)/(2dr).
-	cosMax := (d*d + r*r - R*R) / (2 * d * r)
-	thMax := math.Pi
-	if cosMax > 1 {
-		return 0
-	}
-	if cosMax > -1 {
-		thMax = math.Acos(cosMax)
-	}
+	// squared distance (d − r)² + 4dr·sin²(θ/2) to the center and lies
+	// inside the disk up to θ_max, the angle at q of the triangle with
+	// sides d, r and R (π when the whole circle is inside).
+	thMax := geom.TriangleAngle(d, r, R)
 	f := func(th float64) float64 {
-		return math.Exp(-(d*d + r*r - 2*d*r*math.Cos(th)) / (2 * s2))
+		s := math.Sin(th / 2)
+		return math.Exp(-((d-r)*(d-r) + 4*d*r*s*s) / (2 * s2))
 	}
 	return 2 * r * simpson(f, 0, thMax, 32) / z
 }
@@ -186,26 +175,15 @@ func (g TruncatedGaussian) DistCDF(q geom.Point, r float64) float64 {
 	// β(ρ) is the angular measure of the circle of radius ρ about the
 	// center that lies within B(q, r).
 	beta := func(rho float64) float64 {
-		if d < 1e-12 {
+		if d == 0 {
+			// Query at the center: a step at ρ = r, whose left limit the
+			// band's upper end needs.
 			if rho <= r {
 				return 2 * math.Pi
 			}
 			return 0
 		}
-		if rho < 1e-12 {
-			if d <= r {
-				return 2 * math.Pi
-			}
-			return 0
-		}
-		u := (rho*rho + d*d - r*r) / (2 * rho * d)
-		if u <= -1 {
-			return 2 * math.Pi
-		}
-		if u >= 1 {
-			return 0
-		}
-		return 2 * math.Acos(u)
+		return 2 * geom.TriangleAngle(rho, d, r)
 	}
 	f := func(rho float64) float64 {
 		return rho * math.Exp(-rho*rho/(2*s2)) * beta(rho)

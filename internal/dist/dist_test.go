@@ -181,6 +181,27 @@ func TestTruncatedGaussianPDFIntegratesToCDF(t *testing.T) {
 	}
 }
 
+// A disk far smaller than its distance to the query keeps a distance pdf
+// that integrates to 1 and a cdf of 1/2 at the center's distance, down to
+// radii whose R² is below float64 precision relative to d².
+func TestTinyDiskDistributions(t *testing.T) {
+	q := geom.Pt(0, 0)
+	for _, R := range []float64{1e-6, 1e-9, 1e-12} {
+		for _, c := range []Continuous{
+			UniformDisk{D: geom.Dsk(1, 0, R)},
+			TruncatedGaussian{D: geom.Dsk(1, 0, R), Sigma: R / 2},
+		} {
+			lo, hi := c.SupportDisk().MinDist(q), c.SupportDisk().MaxDist(q)
+			if m := simpson(func(r float64) float64 { return c.DistPDF(q, r) }, lo, hi, 512); math.Abs(m-1) > 1e-3 {
+				t.Fatalf("%T R=%g: ∫pdf = %v", c, R, m)
+			}
+			if g := c.DistCDF(q, 1); math.Abs(g-0.5) > 1e-3 {
+				t.Fatalf("%T R=%g: cdf at the center distance = %v", c, R, g)
+			}
+		}
+	}
+}
+
 func TestTruncatedGaussianSampleAgainstCDF(t *testing.T) {
 	g := TruncatedGaussian{D: geom.Dsk(1, 1, 2), Sigma: 1}
 	q := geom.Pt(3, 1)

@@ -92,14 +92,64 @@ func LensArea(a, b Disk) float64 {
 		r := math.Min(a.R, b.R)
 		return math.Pi * r * r
 	}
-	// Standard circular-segment decomposition.
-	r1, r2 := a.R, b.R
-	d1 := (d*d + r1*r1 - r2*r2) / (2 * d)
-	d2 := d - d1
-	clamp := func(x float64) float64 { return math.Max(-1, math.Min(1, x)) }
-	seg1 := r1*r1*math.Acos(clamp(d1/r1)) - d1*math.Sqrt(math.Max(0, r1*r1-d1*d1))
-	seg2 := r2*r2*math.Acos(clamp(d2/r2)) - d2*math.Sqrt(math.Max(0, r2*r2-d2*d2))
-	return seg1 + seg2
+	// Circular-segment decomposition: the common chord subtends 2α_a at
+	// a's center and 2α_b at b's.
+	return segmentArea(a.R, TriangleAngle(d, a.R, b.R)) + segmentArea(b.R, TriangleAngle(d, b.R, a.R))
+}
+
+// segmentArea returns the area ρ²(2φ − sin 2φ)/2 of the segment a chord
+// subtending 2φ at the center cuts from a circle of radius ρ. Below
+// 2φ = 0.5 a Taylor series replaces x − sin x, which cancels to noise for
+// the sliver a large circle cuts from a tiny disk.
+func segmentArea(rho, phi float64) float64 {
+	x := 2 * phi
+	var xs float64
+	if x < 0.5 {
+		x2 := x * x
+		xs = x * x2 / 6 * (1 - x2/20*(1-x2/42*(1-x2/72*(1-x2/110*(1-x2/156*(1-x2/210))))))
+	} else {
+		xs = x - math.Sin(x)
+	}
+	return rho * rho * xs / 2
+}
+
+// TriangleAngle returns the angle between the sides of lengths a and b of
+// a triangle whose third side has length c: 0 when c ≤ |a − b| and π when
+// c ≥ a + b. It uses the half-angle tangent
+//
+//	tan²(γ/2) = (c − a + b)(c + a − b) / ((a + b − c)(a + b + c))
+//
+// with each factor formed in Kahan's order (sides sorted, the difference
+// of the two largest taken first), so a needle-thin triangle keeps full
+// relative precision. The law of cosines, cos γ = (a² + b² − c²)/(2ab),
+// cancels to a constant once c² falls below float64 precision relative
+// to a² — a disk of radius 1e-9 at distance 1 from the query.
+func TriangleAngle(a, b, c float64) float64 {
+	s := [3]float64{a, b, c}
+	o := [3]int{0, 1, 2} // o[k] indexes the k-th longest side
+	if s[o[0]] < s[o[1]] {
+		o[0], o[1] = o[1], o[0]
+	}
+	if s[o[1]] < s[o[2]] {
+		o[1], o[2] = o[2], o[1]
+	}
+	if s[o[0]] < s[o[1]] {
+		o[0], o[1] = o[1], o[0]
+	}
+	x, y, z := s[o[0]], s[o[1]], s[o[2]]
+	var f [3]float64 // f[k]: the sum of the sides with side k negated
+	f[o[0]] = z - (x - y)
+	f[o[1]] = z + (x - y)
+	f[o[2]] = x + (y - z)
+	// Only f[o[0]] can be negative: the longest side exceeds the others' sum.
+	num, den := f[0]*f[1], f[2]*(x+(y+z))
+	if num <= 0 {
+		return 0
+	}
+	if den <= 0 {
+		return math.Pi
+	}
+	return 2 * math.Atan2(math.Sqrt(num), math.Sqrt(den))
 }
 
 // CircumDisk returns the disk whose boundary passes through a, b and c. ok

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -254,6 +255,55 @@ func TestLensAreaAgainstMonteCarlo(t *testing.T) {
 	}
 	got := float64(in) / n * 4 * b.R * b.R
 	almost(t, got, want, 0.05, "lens area vs Monte Carlo")
+}
+
+// TriangleAngle keeps full precision on needle-thin triangles, where the
+// law of cosines cancels: 1 − cos γ = 2·sin²(γ/2) must match the exact
+// (c² − (a − b)²)/(2ab) of its float64 inputs.
+func TestTriangleAngle(t *testing.T) {
+	almost(t, TriangleAngle(1, 1, 1), math.Pi/3, 1e-15, "equilateral")
+	almost(t, TriangleAngle(3, 4, 5), math.Pi/2, 1e-15, "right angle")
+	almost(t, TriangleAngle(4, 5, 3), math.Asin(3.0/5), 1e-15, "3-4-5 acute")
+	almost(t, TriangleAngle(1, 3, 1.5), 0, 0, "c below |a−b|")
+	almost(t, TriangleAngle(1, 2, 3.5), math.Pi, 0, "c above a+b")
+	almost(t, TriangleAngle(1, 2, 3), math.Pi, 0, "degenerate c = a+b")
+	r := rand.New(rand.NewSource(11))
+	exact := func(a, b, c float64) float64 {
+		f := func(x float64) *big.Float { return new(big.Float).SetPrec(256).SetFloat64(x) }
+		ab := new(big.Float).Sub(f(a), f(b))
+		num := new(big.Float).Sub(new(big.Float).Mul(f(c), f(c)), new(big.Float).Mul(ab, ab))
+		den := new(big.Float).Mul(f(2), new(big.Float).Mul(f(a), f(b)))
+		v, _ := new(big.Float).Quo(num, den).Float64()
+		return v
+	}
+	for i := 0; i < 2000; i++ {
+		a := 0.5 + 2*r.Float64()
+		c := a * math.Pow(10, -3-12*r.Float64())
+		b := a + c*(1.8*r.Float64()-0.9)
+		s := math.Sin(TriangleAngle(a, b, c) / 2)
+		want := exact(a, b, c)
+		if got := 2 * s * s; math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("a=%v b=%v c=%v: 1−cos γ = %v, exact %v", a, b, c, got, want)
+		}
+	}
+}
+
+// A circle through the center of a tiny disk cuts it in half, up to the
+// circle's curvature (a fraction of order R), down to radii whose R² is
+// below float64 precision.
+func TestLensAreaTinyDisk(t *testing.T) {
+	// Powers of two, so 1 − R/2 below is exact.
+	for _, e := range []int{-10, -20, -30, -40, -46} {
+		R := math.Ldexp(1, e)
+		tiny := Dsk(1, 0, R)
+		frac := LensArea(tiny, Dsk(0, 0, 1)) / tiny.Area()
+		almost(t, frac, 0.5, R, "circle through the center")
+		almost(t, LensArea(Dsk(0, 0, 1), tiny)/tiny.Area(), frac, 1e-12, "symmetric")
+		inner := LensArea(tiny, Dsk(0, 0, 1-R/2)) / tiny.Area()
+		// Chord at R/2 from the center: segment fraction (θ − sin θ)/2π
+		// with θ = 2π/3.
+		almost(t, inner, (2*math.Pi/3-math.Sqrt(3)/2)/(2*math.Pi), 2*R, "chord at R/2")
+	}
 }
 
 func TestConvexHull(t *testing.T) {

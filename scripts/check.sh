@@ -2,7 +2,8 @@
 # One-shot local gate mirroring the CI lint, test and coverage jobs, in
 # CI order: format, vet, pnnvet, build, tests under the coverage floor
 # (root module, then the benchmark module). `make check` wraps it;
-# CHECK_RACE=1 adds the full-matrix race pass the CI race job runs.
+# CHECK_RACE=1 adds the CI race job: the full-matrix race pass plus a
+# 20-repeat race stress of the batcher tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +40,8 @@ echo "== benchmark module (vet + tests)"
 if [ "${CHECK_RACE:-0}" = "1" ]; then
   echo "== race (full matrix)"
   go test -race ./...
+  echo "== race stress (batcher, 20 repeats)"
+  go test -race -count=20 -run '^TestBatcher' ./server/
 fi
 
 echo "PASS: all checks"

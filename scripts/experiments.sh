@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Experiment-grid runner: sweeps server-side knobs (which need a server
-# restart per cell) crossed with a client-side pnnload grid (which does
-# not). Each (server config × load cell) lands one BENCH_macro row in
-# the output directory plus a combined CSV and a summary table, ready
-# for cmd/benchdiff or a spreadsheet.
+# Experiment-grid runner: sweeps server-side configs (which need a
+# server restart per cell) crossed with a client-side pnnload grid
+# (which does not), every cell repeated. Each (server config × load
+# cell × repeat) lands one BENCH_macro row in the output directory,
+# plus a combined CSV and a per-cell table of the median and min–max
+# of achieved QPS and p99 across repeats, ready for cmd/benchdiff or a
+# spreadsheet.
 #
-#   ./scripts/experiments.sh                 # default sweep, ~1 min
-#   EXP_OUT=results EXP_DURATION=10s ./scripts/experiments.sh
+#   ./scripts/experiments.sh                 # default sweep, ~3 min
+#   EXP_OUT=results EXP_DURATION=10s EXP_REPEATS=5 ./scripts/experiments.sh
 #
-# Server-side axes swept here: the batch coalescing window and the
-# result cache — the two knobs PR 3's measurements showed dominate
-# tail latency under skewed load. Client-side axes live in the grid
-# spec below (QPS × point-skew); edit or extend either list freely.
+# The server-side axis swept here is the result cache (off and on).
+# Client-side axes live in the grid spec below (QPS × point skew, with
+# one QPS the 60-disk set cannot carry, so the sweep includes a
+# saturated cell); edit or extend either list freely.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,35 +43,32 @@ wait_healthy() {
   echo "FAIL: pnnserve never became healthy" >&2; exit 1
 }
 
-# The client-side grid every server config runs: QPS × point skew.
-# Repeats > 1 would give per-cell variance at the cost of wall time;
-# the smoke default keeps one repeat.
+# The client-side grid every server config runs: QPS × point skew,
+# each cell repeated so the summary can show its spread. 3000 QPS is
+# past what one node answers on the 60-disk set; with 256 requests in
+# flight it measures throughput at saturation.
 grid="$workdir/grid.json"
 cat > "$grid" <<EOF
 {
   "name": "exp",
   "seed": $seed,
-  "repeats": ${EXP_REPEATS:-1},
-  "base": {"duration": "$duration", "mix": "read=4,batch=1"},
-  "sweep": {"qps": [100, 300], "point-theta": [0, 0.9]}
+  "repeats": ${EXP_REPEATS:-3},
+  "base": {"duration": "$duration", "mix": "read=4,batch=1", "inflight": "256"},
+  "sweep": {"qps": [100, 300, 3000], "point-theta": [0, 0.9]}
 }
 EOF
 
-# Server-side sweep cells: "<batch-window> <cache-entries>".
-server_cells=(
-  "0s 0"
-  "2ms 4096"
-)
+# Server-side sweep cells: result-cache entries (0 disables).
+server_cells=(0 4096)
 
 csvs=()
-for cell in "${server_cells[@]}"; do
-  read -r window cache <<< "$cell"
-  tag="bw${window}-cache${cache}"
-  echo "== server config: batch-window=$window cache=$cache"
+for cache in "${server_cells[@]}"; do
+  tag="cache${cache}"
+  echo "== server config: cache=$cache"
   "$workdir/pnnserve" \
     -addr "127.0.0.1:$port" \
     -data "demo=$workdir/demo.json" \
-    -batch-window "$window" -cache "$cache" -log-level off &
+    -cache "$cache" -log-level off &
   server_pid=$!
   wait_healthy
 
@@ -92,6 +91,55 @@ echo "== combined results"
 combined="$out/experiments.csv"
 head -n 1 "${csvs[0]}" > "$combined"
 for c in "${csvs[@]}"; do tail -n +2 "$c" >> "$combined"; done
-column -t -s, "$combined" || cat "$combined"
+column -t -s, "$combined" 2>/dev/null || cat "$combined"
+
+# Per-cell spread: group the -rN repeat rows of the combined CSV by
+# cell and report the median and min–max of achieved_qps and p99_ns.
+# Cell names hold commas, so the CSV writer quotes them; the name is
+# split off by hand. Plain awk (no asort), so it runs under mawk.
+echo
+echo "== per-cell spread across repeats: median [min–max]"
+awk '
+  # median sorts the space-separated values in s, returns their median,
+  # and leaves their extremes in the globals lo and hi.
+  function median(s,   a, n, i, j, v) {
+    n = split(s, a, " ")
+    for (i = 2; i <= n; i++) {
+      v = a[i] + 0
+      for (j = i - 1; j >= 1 && a[j] + 0 > v; j--) a[j + 1] = a[j]
+      a[j + 1] = v
+    }
+    lo = a[1]; hi = a[n]
+    return (n % 2) ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+  }
+  NR == 1 { next }
+  {
+    if (substr($0, 1, 1) == "\"") {
+      n = index(substr($0, 2), "\"")
+      cell = substr($0, 2, n - 1)
+      rest = substr($0, n + 3)
+    } else {
+      n = index($0, ",")
+      cell = substr($0, 1, n - 1)
+      rest = substr($0, n + 1)
+    }
+    # rest: target_qps, achieved_qps, ops, p50_ns, p99_ns, ...
+    split(rest, f, ",")
+    sub(/-r[0-9]+$/, "", cell)
+    if (!(cell in reps)) order[++cells] = cell
+    qps[cell] = qps[cell] " " f[2]
+    p99[cell] = p99[cell] " " f[5]
+    reps[cell]++
+  }
+  END {
+    printf "%-44s %4s %26s %28s\n", "cell", "reps", "achieved_qps", "p99_ms"
+    for (c = 1; c <= cells; c++) {
+      cell = order[c]
+      mq = median(qps[cell]); lq = lo; hq = hi
+      mp = median(p99[cell]); lp = lo; hp = hi
+      printf "%-44s %4d %8.1f [%7.1f–%7.1f] %8.2f [%8.2f–%8.2f]\n",
+        cell, reps[cell], mq, lq, hq, mp / 1e6, lp / 1e6, hp / 1e6
+    }
+  }' "$combined"
 echo
 echo "rows: $out/BENCH_*.json  csv: $combined"

@@ -53,7 +53,7 @@ echo "== single writable pnnserve on :$single_port"
   -addr "127.0.0.1:$single_port" \
   -store "$workdir/store" \
   -admin-token "$token" \
-  -batch-window 1ms -log-level off &
+  -log-level off &
 pids+=($!)
 wait_healthy "$single_port" "${pids[0]}" "pnnserve"
 
@@ -97,7 +97,7 @@ for port in "$b1_port" "$b2_port"; do
   "$workdir/pnnserve" \
     -addr "127.0.0.1:$port" \
     -data "demo=$workdir/demo.json" \
-    -batch-window 1ms -log-level off &
+    -log-level off &
   pids+=($!)
 done
 "$workdir/pnnrouter" \

@@ -29,7 +29,6 @@ for port in "$b1_port" "$b2_port"; do
     -addr "127.0.0.1:$port" \
     -data "fleet=$workdir/fleet.json" \
     -data "demo=$workdir/demo.json" \
-    -batch-window 1ms \
     -trace-sample 1 &
   pids+=($!)
 done

@@ -20,7 +20,6 @@ echo "== starting pnnserve on :$port"
   -addr "127.0.0.1:$port" \
   -data "fleet=$workdir/fleet.json" \
   -gen 'demo=disks:n=50,seed=7' \
-  -batch-window 1ms \
   -trace-sample 1 \
   -pprof -log-level off &
 server_pid=$!

@@ -23,8 +23,7 @@ start_server() {
   "$workdir/pnnserve" \
     -addr "127.0.0.1:$port" \
     -store "$storedir" \
-    -admin-token "$token" \
-    -batch-window 1ms &
+    -admin-token "$token" &
   server_pid=$!
   for _ in $(seq 1 50); do
     if curl -fsS -o /dev/null "$base/healthz" 2>/dev/null; then return; fi

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pnn/api"
 	"pnn/store"
@@ -368,7 +367,7 @@ func TestMutationDurability(t *testing.T) {
 // no query may fail, and the engines must keep answering while every
 // write folds into them in place.
 func TestMutateWhileQuerying(t *testing.T) {
-	_, hs, _ := storeServer(t, Config{BatchWindow: 200 * time.Microsecond, CacheSize: 128})
+	_, hs, _ := storeServer(t, Config{CacheSize: 128})
 
 	if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/live", api.CreateDataset{Kind: "discrete"}, testToken); status != http.StatusOK {
 		t.Fatalf("create: %d %s", status, raw)
@@ -422,7 +421,7 @@ func TestMutateWhileQuerying(t *testing.T) {
 // read the dataset, lose the race to a drop's Remove, and then
 // register a ghost entry for a dataset the store no longer holds.
 func TestRefreshDropRace(t *testing.T) {
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	const name = "ghost"
 	var applied atomic.Int64 // mutations the server actually acknowledged
 	do := func(method, path string, body any) error {

@@ -16,11 +16,12 @@ import (
 // handleBatch serves POST /v1/batch: a heterogeneous batch of query
 // items, possibly spanning datasets and engine configurations. Items
 // run through the same answer core as the single-query endpoints —
-// same result cache, same lazy engines, same coalescing batchers — so
-// each item's Body is byte-identical to the corresponding single-query
-// response and per-item errors carry the same api codes. Items are
-// answered concurrently (coalescing merges same-engine items into one
-// QueryBatchOps call) and results come back in request order.
+// same result cache, same lazy engines, same batchers — so each item's
+// Body is byte-identical to the corresponding single-query response
+// and per-item errors carry the same api codes. Items are answered
+// concurrently (same-engine items that queue behind the engine's
+// running batches share the next QueryBatchOps call) and results come
+// back in request order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	breq, status, err := api.DecodeBatchRequest(w, r)
 	if err != nil {
@@ -64,13 +65,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, api.BatchResponse{Results: results}, "")
 }
 
-// answerItem resolves one batch item: validate, then the shared answer
-// core. Failures become per-item api.Errors so one bad item never
-// fails its batchmates.
 // batchBudgetFactor sizes the aggregate /v1/batch deadline relative to
 // the per-item RequestTimeout.
 const batchBudgetFactor = 4
 
+// answerItem resolves one batch item: validate, then the shared answer
+// core. Failures become per-item api.Errors so one bad item never
+// fails its batchmates.
 func (s *Server) answerItem(ctx context.Context, it api.BatchItem) api.BatchResult {
 	op, p, err := paramsFromItem(it)
 	if err != nil {

@@ -44,7 +44,7 @@ func postBatch(t *testing.T, hs *httptest.Server, items []api.BatchItem) (int, a
 // guarantee the shard router's scatter-gather builds on.
 func TestBatchByteIdenticalToSingle(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -92,7 +92,7 @@ func TestBatchByteIdenticalToSingle(t *testing.T) {
 // code in request order, without poisoning its batchmates.
 func TestBatchPerItemErrors(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -133,7 +133,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 // single query must be served from the shared result cache.
 func TestBatchSharesCacheWithSingle(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -169,7 +169,7 @@ func TestBatchSharesCacheWithSingle(t *testing.T) {
 // 500.
 func TestUnknownDataset404(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -222,7 +222,7 @@ func TestUnknownDataset404(t *testing.T) {
 // TestBatchRejectsOversizeAndNonPOST covers the envelope-level guards.
 func TestBatchRejectsOversizeAndNonPOST(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -250,7 +250,7 @@ func TestBatchRejectsOversizeAndNonPOST(t *testing.T) {
 // budget, surfacing per-item timeout errors at worst).
 func TestBatchExemptFromRequestTimeout(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, RequestTimeout: time.Nanosecond})
+	srv := New(reg, Config{RequestTimeout: time.Nanosecond})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -280,7 +280,7 @@ func TestBatchExemptFromRequestTimeout(t *testing.T) {
 // TestQueryMethodNotAllowed: single-query endpoints are GET-only.
 func TestQueryMethodNotAllowed(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

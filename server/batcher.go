@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,30 +16,38 @@ import (
 // ErrBatcherClosed is returned by Submit after Close.
 var ErrBatcherClosed = errors.New("server: batcher closed")
 
-// Batcher coalesces concurrent single-query requests against one
-// query engine into QueryBatchOps calls. A batch is flushed when it
-// reaches MaxBatch requests ("full") or when Window elapses after the
-// first request of the batch arrives ("window"), whichever comes
-// first — so a lone request waits at most Window, and a burst of
-// requests amortizes the per-call overhead and query-level parallelism
-// of one batch call.
+const (
+	// maxBatch caps how many queued requests one engine call answers.
+	maxBatch = 64
+	// batchWorkers is each batch call's worker count; QueryBatchOps
+	// reads ≤ 0 as GOMAXPROCS.
+	batchWorkers = 0
+)
+
+// Batcher runs single-query requests against one query engine,
+// batching naturally — the group commit pattern of the store's WAL —
+// without leaving cores idle. A request runs at once, alone, whenever
+// the batches already running hold fewer requests than there are
+// cores (GOMAXPROCS); otherwise it queues. A drain goroutine that
+// finishes its batch takes the next batch of up to maxBatch queued
+// requests, in arrival order, under the same rule, and exits when the
+// queue is empty or the other running batches already cover the cores.
+// A lone request
+// never waits for company, a slow request (continuous integration,
+// Monte Carlo) never leaves the other cores idle behind it, and under
+// load one batch of up to maxBatch holds every core while the next one
+// gathers. At most GOMAXPROCS engine calls run at once.
 //
-// Every query is independent, so coalescing never changes answers: a
-// coalesced request returns exactly what the same engine call would
+// Every query is independent, so batching never changes answers: a
+// batched request returns exactly what the same engine call would
 // return sequentially. The engine may mutate between batches (the
 // delta write path applies ops in place); the batcher is pinned to the
 // engine, not to a dataset version, and keeps draining across version
 // bumps.
 type Batcher struct {
-	q        engine.Querier
-	window   time.Duration
-	maxBatch int
-	workers  int
-	// onFlush, when non-nil, observes every flushed batch: its size and
-	// the reason — "full" (batch reached MaxBatch), "window" (the
-	// coalescing window expired), "immediate" (coalescing disabled,
-	// window ≤ 0), or "close" (flushed during Close).
-	onFlush func(size int, reason string)
+	q engine.Querier
+	// onFlush, when non-nil, observes the size of every answered batch.
+	onFlush func(size int)
 	// onQueue and onExec, when non-nil, decompose the batching latency:
 	// onQueue observes each request's wait between Submit and its flush
 	// starting, onExec the engine time of each flushed batch. Set via
@@ -47,9 +57,14 @@ type Batcher struct {
 
 	mu      sync.Mutex
 	pending []pendingReq
-	timer   *time.Timer
-	closed  bool
-	flights sync.WaitGroup
+	// running counts the requests in the batches being answered, and
+	// cores is GOMAXPROCS: a batch starts only while running < cores.
+	// running changes only under mu, and a drain leaves requests pending
+	// only while other batches run, so a request appended to pending is
+	// always either taken by a running drain or starts one.
+	running, cores int
+	closed         bool
+	drains         sync.WaitGroup
 }
 
 type pendingReq struct {
@@ -68,20 +83,9 @@ type pendingReq struct {
 }
 
 // NewBatcher builds a batcher over q (a pnn.Index, pnn.DynamicIndex,
-// or engine.Engine). window ≤ 0 means flush every submission
-// immediately (no coalescing); maxBatch ≤ 0 defaults to 64; workers
-// follows pnn.QueryBatchOps semantics (≤ 0 means GOMAXPROCS).
-func NewBatcher(q engine.Querier, window time.Duration, maxBatch, workers int, onFlush func(int, string)) *Batcher {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	return &Batcher{
-		q:        q,
-		window:   window,
-		maxBatch: maxBatch,
-		workers:  workers,
-		onFlush:  onFlush,
-	}
+// or engine.Engine); onFlush, when non-nil, observes each batch size.
+func NewBatcher(q engine.Querier, onFlush func(size int)) *Batcher {
+	return &Batcher{q: q, onFlush: onFlush, cores: runtime.GOMAXPROCS(0)}
 }
 
 // SetStageObserver wires latency decomposition: onQueue sees each
@@ -117,24 +121,13 @@ func (b *Batcher) Submit(ctx context.Context, req pnn.Request) (pnn.OpResult, er
 		pr.ctx, pr.span = ctx, span
 	}
 	b.pending = append(b.pending, pr)
-	switch {
-	case len(b.pending) >= b.maxBatch:
+	if b.running < b.cores {
 		batch := b.takeLocked()
-		b.flights.Add(1)
-		b.mu.Unlock()
-		go b.run(batch, "full")
-	case b.window <= 0:
-		// Coalescing disabled: each submission is its own batch.
-		batch := b.takeLocked()
-		b.flights.Add(1)
-		b.mu.Unlock()
-		go b.run(batch, "immediate")
-	default:
-		if len(b.pending) == 1 {
-			b.timer = time.AfterFunc(b.window, b.flushWindow)
-		}
-		b.mu.Unlock()
+		b.running += len(batch)
+		b.drains.Add(1)
+		go b.drain(batch)
 	}
+	b.mu.Unlock()
 	select {
 	case res := <-ch:
 		return res, nil
@@ -143,8 +136,8 @@ func (b *Batcher) Submit(ctx context.Context, req pnn.Request) (pnn.OpResult, er
 	}
 }
 
-// Depth returns the number of requests currently queued waiting for a
-// flush — the instantaneous backpressure signal behind the
+// Depth returns the number of requests queued behind the running
+// batches — the instantaneous backpressure signal behind the
 // pnn_queue_depth gauge.
 func (b *Batcher) Depth() int {
 	b.mu.Lock()
@@ -152,35 +145,36 @@ func (b *Batcher) Depth() int {
 	return len(b.pending)
 }
 
-// takeLocked steals the pending batch and disarms the window timer.
-// Callers must hold b.mu.
+// takeLocked removes the oldest maxBatch pending requests (all of them
+// if fewer) and returns them as the next batch. The batch never shares
+// a backing array with what stays pending, so later appends cannot
+// overwrite a request in flight. Callers must hold b.mu.
 func (b *Batcher) takeLocked() []pendingReq {
 	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
+	if len(batch) > maxBatch {
+		b.pending = slices.Clone(batch[maxBatch:])
+		return batch[:maxBatch]
 	}
+	b.pending = nil
 	return batch
 }
 
-// flushWindow fires when the coalescing window of the oldest pending
-// request expires.
-func (b *Batcher) flushWindow() {
-	b.mu.Lock()
-	if b.closed {
+// drain answers batch, then takes the next queued batch while the
+// other running batches leave a core free, and exits otherwise.
+func (b *Batcher) drain(batch []pendingReq) {
+	defer b.drains.Done()
+	for {
+		b.run(batch)
+		b.mu.Lock()
+		b.running -= len(batch)
+		if len(b.pending) == 0 || b.running >= b.cores {
+			b.mu.Unlock()
+			return
+		}
+		batch = b.takeLocked()
+		b.running += len(batch)
 		b.mu.Unlock()
-		return
 	}
-	batch := b.takeLocked()
-	if len(batch) == 0 {
-		// A full flush (or Close) beat the timer to the batch.
-		b.mu.Unlock()
-		return
-	}
-	b.flights.Add(1)
-	b.mu.Unlock()
-	b.run(batch, "window")
 }
 
 // reqScratch pools the per-flush request slices: a steady stream of
@@ -188,15 +182,14 @@ func (b *Batcher) flushWindow() {
 // batch. (The result slices stay per-flush — they are handed to waiting
 // callers and must outlive the flush.)
 var reqScratch = sync.Pool{New: func() any {
-	s := make([]pnn.Request, 0, 64)
+	s := make([]pnn.Request, 0, maxBatch)
 	return &s
 }}
 
 // run answers one batch and delivers per-request results. The batch
 // context is Background on purpose: a coalesced batch serves many
 // callers, so no single caller's cancellation may abort it.
-func (b *Batcher) run(batch []pendingReq, reason string) {
-	defer b.flights.Done()
+func (b *Batcher) run(batch []pendingReq) {
 	rp := reqScratch.Get().(*[]pnn.Request)
 	reqs := (*rp)[:0]
 	for _, p := range batch {
@@ -222,7 +215,7 @@ func (b *Batcher) run(batch []pendingReq, reason string) {
 	if b.onExec != nil {
 		start = time.Now()
 	}
-	res, err := b.q.QueryBatchOps(context.Background(), reqs, b.workers)
+	res, err := b.q.QueryBatchOps(context.Background(), reqs, batchWorkers)
 	if b.onExec != nil {
 		b.onExec(time.Since(start))
 	}
@@ -239,28 +232,16 @@ func (b *Batcher) run(batch []pendingReq, reason string) {
 		p.ch <- res[i]
 	}
 	if b.onFlush != nil {
-		b.onFlush(len(batch), reason)
+		b.onFlush(len(batch))
 	}
 }
 
-// Close flushes pending requests (they are answered, not dropped),
-// waits for in-flight batches, and fails all later Submits with
-// ErrBatcherClosed. It is idempotent.
+// Close fails all later Submits with ErrBatcherClosed and waits for
+// the drain goroutines, which answer every request already queued
+// (they are answered, not dropped). It is idempotent.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.flights.Wait()
-		return
-	}
 	b.closed = true
-	batch := b.takeLocked()
-	if len(batch) > 0 {
-		b.flights.Add(1)
-	}
 	b.mu.Unlock()
-	if len(batch) > 0 {
-		b.run(batch, "close")
-	}
-	b.flights.Wait()
+	b.drains.Wait()
 }

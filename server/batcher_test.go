@@ -3,14 +3,17 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pnn"
+	"pnn/server/engine"
 )
 
 func testIndex(t *testing.T, n int) *pnn.Index {
@@ -37,42 +40,209 @@ func testIndex(t *testing.T, n int) *pnn.Index {
 	return ix
 }
 
-type flushLog struct {
-	mu      sync.Mutex
-	sizes   []int
-	reasons []string
+// gatedEngine wraps an engine so each QueryBatchOps call blocks until
+// the test releases it: a test can park a batch mid-execution and
+// queue requests deterministically behind it. Tests defer open after
+// Close, so a failing test never leaves Close waiting on the gate.
+type gatedEngine struct {
+	engine.Engine
+	// entered receives each call as it starts. Its buffer exceeds any
+	// test's call count, so a call never blocks on reporting itself to
+	// a test that does not read every entry.
+	entered chan gatedCall
+	// release lets one blocked call, whichever, proceed per receive;
+	// open closes it, opening the gate for good.
+	release chan struct{}
+	opened  sync.Once
 }
 
-func (f *flushLog) record(size int, reason string) {
+// gatedCall is one blocked QueryBatchOps call: its requests, and a
+// channel whose close lets this call alone proceed.
+type gatedCall struct {
+	reqs    []pnn.Request
+	release chan struct{}
+}
+
+func newGatedEngine(e engine.Engine) *gatedEngine {
+	return &gatedEngine{Engine: e, entered: make(chan gatedCall, 1024), release: make(chan struct{})}
+}
+
+func (g *gatedEngine) QueryBatchOps(ctx context.Context, reqs []pnn.Request, workers int) ([]pnn.OpResult, error) {
+	c := gatedCall{reqs: slices.Clone(reqs), release: make(chan struct{})}
+	g.entered <- c
+	select {
+	case <-c.release:
+	case <-g.release:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	return g.Engine.QueryBatchOps(ctx, reqs, workers)
+}
+
+// waitCall blocks until the next gated call starts and returns it.
+func (g *gatedEngine) waitCall(t *testing.T) gatedCall {
+	t.Helper()
+	select {
+	case c := <-g.entered:
+		return c
+	case <-time.After(5 * time.Second):
+		t.Fatal("no engine call started within 5s")
+		return gatedCall{}
+	}
+}
+
+// waitEntered blocks until the next gated call starts and returns its
+// requests.
+func (g *gatedEngine) waitEntered(t *testing.T) []pnn.Request {
+	t.Helper()
+	return g.waitCall(t).reqs
+}
+
+// open releases every blocked and future call. It is idempotent.
+func (g *gatedEngine) open() { g.opened.Do(func() { close(g.release) }) }
+
+// waitDepth polls until b holds exactly n queued requests.
+func waitDepth(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Depth() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", b.Depth(), n)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// waitRunning polls until b's running batches hold exactly n requests.
+func waitRunning(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		b.mu.Lock()
+		running := b.running
+		b.mu.Unlock()
+		if running == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("running %d, want %d", running, n)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+type flushLog struct {
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (f *flushLog) record(size int) {
 	f.mu.Lock()
 	f.sizes = append(f.sizes, size)
-	f.reasons = append(f.reasons, reason)
 	f.mu.Unlock()
 }
 
-func (f *flushLog) count(reason string) int {
+func (f *flushLog) get() []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := 0
-	for _, r := range f.reasons {
-		if r == reason {
-			n++
-		}
-	}
-	return n
+	return slices.Clone(f.sizes)
 }
 
-// TestBatcherFullFlushCoalesces makes coalescing deterministic: with a
-// very long window and maxBatch = N, the batch can only flush when the
-// N-th concurrent submitter arrives — one full batch, and every caller
-// gets exactly the sequential answer.
-func TestBatcherFullFlushCoalesces(t *testing.T) {
-	ix := testIndex(t, 20)
-	const n = 10
-	var fl flushLog
-	b := NewBatcher(ix, time.Hour, n, 0, fl.record)
-	defer b.Close()
+// submitAsync submits req on its own goroutine; the returned channel
+// yields the outcome.
+func submitAsync(b *Batcher, req pnn.Request) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		res, err := b.Submit(context.Background(), req)
+		if err == nil {
+			err = res.Err
+		}
+		done <- err
+	}()
+	return done
+}
 
+func nonzeroAt(x float64) pnn.Request { return pnn.Request{Q: pnn.Pt(x, 1), Op: pnn.OpNonzero} }
+
+// TestBatcherNaturalBatching pins the batching rule on a two-core
+// batcher: a request runs at once and alone while the running batches
+// hold fewer requests than there are cores, and queues otherwise; a
+// drain that finishes takes the queue as one batch only while a core
+// is free; a request after the queue drains runs alone again.
+func TestBatcherNaturalBatching(t *testing.T) {
+	g := newGatedEngine(engine.NewStatic(testIndex(t, 10)))
+	var fl flushLog
+	b := NewBatcher(g, fl.record)
+	if b.cores != runtime.GOMAXPROCS(0) {
+		t.Fatalf("cores = %d, want GOMAXPROCS = %d", b.cores, runtime.GOMAXPROCS(0))
+	}
+	b.cores = 2
+	defer b.Close()
+	defer g.open()
+
+	enter := func(what string, want int) gatedCall {
+		t.Helper()
+		c := g.waitCall(t)
+		if len(c.reqs) != want {
+			t.Fatalf("%s: batch of %d requests, want %d", what, len(c.reqs), want)
+		}
+		return c
+	}
+	a := submitAsync(b, nonzeroAt(0))
+	callA := enter("A on an idle batcher", 1)
+	bDone := submitAsync(b, nonzeroAt(1))
+	callB := enter("B beside A (a core is free)", 1)
+	queued := []<-chan error{submitAsync(b, nonzeroAt(2)), submitAsync(b, nonzeroAt(3)), submitAsync(b, nonzeroAt(4))}
+	waitDepth(t, b, 3)
+	close(callA.release)
+	callCDE := enter("C, D and E after A (a core freed)", 3)
+	queued = append(queued, submitAsync(b, nonzeroAt(5)))
+	waitDepth(t, b, 1)
+	close(callB.release)
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	// B's drain finds the running batch of three covering both cores
+	// and leaves F queued for that batch's drain.
+	waitRunning(t, b, 3)
+	if d := b.Depth(); d != 1 {
+		t.Fatalf("depth %d after B, want F still queued", d)
+	}
+	close(callCDE.release)
+	close(enter("F after C, D and E", 1).release)
+	for _, done := range append(queued, a) {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.open()
+	if err := <-submitAsync(b, nonzeroAt(6)); err != nil {
+		t.Fatal(err)
+	}
+	enter("G after the queue drained", 1)
+	b.Close() // the last onFlush runs after the answer; Close waits for it
+	got := fl.get()
+	slices.Sort(got)
+	if !slices.Equal(got, []int{1, 1, 1, 1, 3}) {
+		t.Errorf("flush sizes %v, want [1 1 1 1 3] in some order", got)
+	}
+}
+
+// TestBatcherQueuedRequestsCoalesce queues n concurrent submitters
+// behind a gated request on a one-core batcher: they run as one batch,
+// and every caller gets exactly the sequential answer.
+func TestBatcherQueuedRequestsCoalesce(t *testing.T) {
+	ix := testIndex(t, 20)
+	g := newGatedEngine(engine.NewStatic(ix))
+	var fl flushLog
+	b := NewBatcher(g, fl.record)
+	b.cores = 1
+	defer b.Close()
+	defer g.open()
+
+	first := submitAsync(b, nonzeroAt(0))
+	g.waitEntered(t)
+	const n = 10
 	r := rand.New(rand.NewSource(3))
 	qs := make([]pnn.Point, n)
 	for i := range qs {
@@ -92,9 +262,15 @@ func TestBatcherFullFlushCoalesces(t *testing.T) {
 			results[i] = res
 		}(i)
 	}
+	waitDepth(t, b, n)
+	g.open()
 	wg.Wait()
-	if got := fl.count("full"); got != 1 {
-		t.Fatalf("full flushes = %d, want exactly 1 (sizes %v)", got, fl.sizes)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if got := fl.get(); !slices.Equal(got, []int{1, n}) {
+		t.Fatalf("flush sizes %v, want [1 %d]", got, n)
 	}
 	for i := range qs {
 		want, err := ix.Probabilities(qs[i])
@@ -102,55 +278,32 @@ func TestBatcherFullFlushCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(results[i].Probabilities, want) {
-			t.Errorf("query %d: coalesced answer differs from sequential", i)
+			t.Errorf("query %d: batched answer differs from sequential", i)
 		}
 	}
 }
 
-// TestBatcherWindowExpiry checks that a partial batch flushes on its
-// own once the window elapses, with no further submissions needed.
-func TestBatcherWindowExpiry(t *testing.T) {
-	ix := testIndex(t, 10)
-	var fl flushLog
-	b := NewBatcher(ix, 5*time.Millisecond, 1000, 0, fl.record)
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := b.Submit(context.Background(), pnn.Request{Q: pnn.Pt(float64(i), 1), Op: pnn.OpNonzero})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-			} else if res.Err != nil {
-				t.Errorf("submit %d: %v", i, res.Err)
-			}
-		}(i)
-	}
-	wg.Wait() // returning at all proves the window flush fired
-	if fl.count("window") == 0 {
-		t.Fatalf("no window flush recorded (reasons %v)", fl.reasons)
-	}
-}
-
-// TestBatcherMaxBatchSplits pushes many concurrent submitters through a
-// small maxBatch and checks every request is answered correctly and no
-// batch exceeds the cap.
+// TestBatcherMaxBatchSplits queues 150 requests, one at a time, behind
+// a gated request on a one-core batcher: they flush as 64, 64 and 22
+// in submission order, and every answer is the sequential one.
 func TestBatcherMaxBatchSplits(t *testing.T) {
 	ix := testIndex(t, 20)
-	const n, maxBatch = 60, 8
+	g := newGatedEngine(engine.NewStatic(ix))
 	var fl flushLog
-	b := NewBatcher(ix, time.Millisecond, maxBatch, 0, fl.record)
+	b := NewBatcher(g, fl.record)
+	b.cores = 1
 	defer b.Close()
+	defer g.open()
 
+	first := submitAsync(b, nonzeroAt(-1))
+	g.waitEntered(t)
+	const n = 150
 	r := rand.New(rand.NewSource(9))
 	qs := make([]pnn.Point, n)
+	answers := make([]pnn.OpResult, n)
+	var wg sync.WaitGroup
 	for i := range qs {
 		qs[i] = pnn.Pt(r.Float64()*50, r.Float64()*50)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -159,73 +312,91 @@ func TestBatcherMaxBatchSplits(t *testing.T) {
 				t.Errorf("submit %d: %v", i, err)
 				return
 			}
-			want, _ := ix.Nonzero(qs[i])
-			if !reflect.DeepEqual(res.Nonzero, want) {
-				t.Errorf("query %d: wrong answer", i)
-			}
+			answers[i] = res
 		}(i)
+		waitDepth(t, b, i+1) // fixes the arrival order
 	}
+	g.open()
 	wg.Wait()
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	total := 0
-	for _, s := range fl.sizes {
-		total += s
-		if s > maxBatch {
-			t.Errorf("batch of size %d exceeds max %d", s, maxBatch)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if got := fl.get(); !slices.Equal(got, []int{1, 64, 64, 22}) {
+		t.Fatalf("flush sizes %v, want [1 64 64 22]", got)
+	}
+	var order []pnn.Point
+	for range 3 {
+		for _, req := range g.waitEntered(t) {
+			order = append(order, req.Q)
 		}
 	}
-	if total != n {
-		t.Errorf("flushed %d requests in total, want %d", total, n)
+	if !slices.Equal(order, qs) {
+		t.Error("batches did not take requests in submission order")
+	}
+	for i := range qs {
+		want, _ := ix.Nonzero(qs[i])
+		if !reflect.DeepEqual(answers[i].Nonzero, want) {
+			t.Errorf("query %d: wrong answer", i)
+		}
 	}
 }
 
-// TestBatcherCloseMidFlight closes the batcher while requests are
-// pending in the window: they must be answered (not dropped), and
-// later submissions must fail with ErrBatcherClosed.
+// TestBatcherCloseMidFlight closes a one-core batcher while requests
+// are queued behind its running batch: Close waits for them to be answered
+// (not dropped), and later submissions fail with ErrBatcherClosed.
 func TestBatcherCloseMidFlight(t *testing.T) {
-	ix := testIndex(t, 10)
+	g := newGatedEngine(engine.NewStatic(testIndex(t, 10)))
 	var fl flushLog
-	b := NewBatcher(ix, time.Hour, 1000, 0, fl.record)
+	b := NewBatcher(g, fl.record)
+	b.cores = 1
+	defer g.open()
 
 	const n = 5
-	var answered atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := b.Submit(context.Background(), pnn.Request{Q: pnn.Pt(float64(i), 2), Op: pnn.OpNonzero})
-			if err == nil && res.Err == nil {
-				answered.Add(1)
-			} else if err != nil && !errors.Is(err, ErrBatcherClosed) {
-				t.Errorf("submit %d: %v", i, err)
-			}
-		}(i)
+	dones := []<-chan error{submitAsync(b, nonzeroAt(0))}
+	g.waitEntered(t)
+	for i := 1; i < n; i++ {
+		dones = append(dones, submitAsync(b, nonzeroAt(float64(i))))
 	}
-	// Wait until all n requests are queued in the window, then close.
+	waitDepth(t, b, n-1)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	// Close marks the batcher closed at once, then waits on the drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		b.mu.Lock()
-		queued := len(b.pending)
+		isClosed := b.closed
 		b.mu.Unlock()
-		if queued == n {
+		if isClosed {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests queued", queued, n)
+			t.Fatal("Close never marked the batcher closed")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	b.Close()
-	wg.Wait()
-	if got := answered.Load(); got != n {
-		t.Errorf("answered %d of %d pending requests at close", got, n)
+	if _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
+		t.Fatalf("submit during close: want ErrBatcherClosed, got %v", err)
 	}
-	if fl.count("close") != 1 {
-		t.Errorf("close flushes = %d, want 1", fl.count("close"))
+	select {
+	case <-closed:
+		t.Fatal("Close returned before the queued requests were answered")
+	default:
 	}
-	if _, err := b.Submit(context.Background(), pnn.Request{Q: pnn.Pt(0, 0), Op: pnn.OpNonzero}); !errors.Is(err, ErrBatcherClosed) {
+	g.open()
+	<-closed
+	for i, done := range dones {
+		if err := <-done; err != nil {
+			t.Errorf("request %d queued at close: %v", i, err)
+		}
+	}
+	if got := fl.get(); !slices.Equal(got, []int{1, n - 1}) {
+		t.Errorf("flush sizes %v, want [1 %d]", got, n-1)
+	}
+	if _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
 		t.Errorf("submit after close: want ErrBatcherClosed, got %v", err)
 	}
 	b.Close() // idempotent
@@ -236,7 +407,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 // answered correctly or fail with ErrBatcherClosed.
 func TestBatcherConcurrentSubmitAndClose(t *testing.T) {
 	ix := testIndex(t, 15)
-	b := NewBatcher(ix, 200*time.Microsecond, 7, 0, nil)
+	b := NewBatcher(ix, nil)
 	const n = 80
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -263,21 +434,67 @@ func TestBatcherConcurrentSubmitAndClose(t *testing.T) {
 }
 
 // TestBatcherSubmitCancelled checks both a pre-cancelled context and
-// one cancelled while waiting inside the window.
+// one that ends while the request waits behind a running batch: the
+// submitter returns at once, and the shared batch still completes.
 func TestBatcherSubmitCancelled(t *testing.T) {
-	ix := testIndex(t, 10)
-	b := NewBatcher(ix, time.Hour, 1000, 0, nil)
+	g := newGatedEngine(engine.NewStatic(testIndex(t, 10)))
+	b := NewBatcher(g, nil)
+	b.cores = 1
 	defer b.Close()
+	defer g.open()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(ctx, pnn.Request{Q: pnn.Pt(0, 0), Op: pnn.OpNonzero}); !errors.Is(err, context.Canceled) {
+	if _, err := b.Submit(ctx, nonzeroAt(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: want context.Canceled, got %v", err)
 	}
 
+	first := submitAsync(b, nonzeroAt(0))
+	g.waitEntered(t)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel2()
-	if _, err := b.Submit(ctx2, pnn.Request{Q: pnn.Pt(0, 0), Op: pnn.OpNonzero}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("mid-window cancel: want DeadlineExceeded, got %v", err)
+	if _, err := b.Submit(ctx2, nonzeroAt(1)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled while queued: want DeadlineExceeded, got %v", err)
+	}
+	g.open()
+	if err := <-first; err != nil {
+		t.Errorf("batch answered after a batchmate gave up: %v", err)
+	}
+}
+
+// TestBatcherNoLostWakeup races many submitters against drain
+// goroutines exiting: a request appended between a
+// drain's empty check and its exit must still run, so every Submit
+// returns.
+func TestBatcherNoLostWakeup(t *testing.T) {
+	ix := testIndex(t, 10)
+	for _, cores := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
+			b := NewBatcher(ix, nil)
+			b.cores = cores
+			defer b.Close()
+			const goroutines, perG = 8, 500
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(g)))
+					for i := 0; i < perG; i++ {
+						if r.Intn(4) == 0 {
+							time.Sleep(time.Duration(r.Intn(50)) * time.Microsecond)
+						}
+						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+						_, err := b.Submit(ctx, nonzeroAt(float64(i%10)))
+						cancel()
+						if err != nil {
+							t.Errorf("goroutine %d submit %d: %v (lost wakeup?)", g, i, err)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -58,7 +58,7 @@ func readOnlyTwin(t *testing.T, srv *Server, name string) *Server {
 	if err := reg.Add(name, set); err != nil {
 		t.Fatal(err)
 	}
-	ref := New(reg, Config{BatchWindow: -1})
+	ref := New(reg, Config{})
 	t.Cleanup(ref.Close)
 	return ref
 }
@@ -72,7 +72,7 @@ func serveGet(srv *Server, path string) (int, []byte) {
 
 func deltaEquivalence(t *testing.T, kind, qs string) {
 	const name = "prop"
-	srv, hs, _ := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, _ := storeServer(t, Config{})
 	mutate := func(method, path string, body any) api.Mutation {
 		t.Helper()
 		status, raw := adminDo(t, hs, method, path, body, testToken)
@@ -200,7 +200,7 @@ func TestWriteDuringBuild(t *testing.T) {
 		{"diagram", 2, 3},
 	} {
 		t.Run(tc.backend, func(t *testing.T) {
-			srv, hs, _ := storeServer(t, Config{BatchWindow: -1})
+			srv, hs, _ := storeServer(t, Config{})
 			const name = "b"
 			if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/"+name, api.CreateDataset{Kind: "discrete"}, testToken); status != http.StatusOK {
 				t.Fatalf("create: %d %s", status, raw)
@@ -300,7 +300,7 @@ func TestBuildFindsDatasetChanged(t *testing.T) {
 			nil, func(srv *Server, st *store.Store) { bump(srv, st); recreate(st, "discrete", pt) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+			srv, hs, st := storeServer(t, Config{})
 			if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/d", api.CreateDataset{Kind: "discrete"}, testToken); status != http.StatusOK {
 				t.Fatalf("create: %d %s", status, raw)
 			}

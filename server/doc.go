@@ -6,15 +6,18 @@
 //
 // A request flows through four stages:
 //
-//	parse → result cache → lazy engine registry → coalescing batcher
+//	parse → result cache → lazy engine registry → batcher
 //
 // Each (dataset, backend, quantifier) engine is built lazily on first
-// use and kept for the life of the server. A coalescing Batcher merges
-// concurrent single-query requests against one engine into a single
-// pnn.Index.QueryBatchOps call, and an LRU cache replays encoded
-// responses for repeated hot queries. Because responses are cached and
-// replayed as encoded bytes, a cached answer is byte-identical to a
-// freshly computed one (see pnn/api for the wire-format guarantees).
+// use and kept for the life of the server. Each engine's Batcher runs
+// a request at once while its running pnn.Index.QueryBatchOps calls
+// hold fewer requests than there are cores (GOMAXPROCS); requests that
+// arrive while the cores are covered share the next call (up to 64 per
+// call). An LRU cache replays
+// encoded responses for repeated hot queries. Because responses are
+// cached and replayed as encoded bytes, a cached answer is
+// byte-identical to a freshly computed one (see pnn/api for the
+// wire-format guarantees).
 //
 // # Endpoints
 //

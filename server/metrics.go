@@ -17,7 +17,6 @@ type Metrics struct {
 	batches     *obs.Counter
 	batchedReqs *obs.Counter
 	indexBuilds *obs.Counter
-	flushes     *obs.CounterVec // pnn_batch_flushes_total{reason=}
 	// deltaApplied counts refreshes that folded ops into live engines in
 	// place; deltaFallbacks the refreshes that found the name dropped
 	// and recreated behind their back and replaced the dataset whole, by
@@ -31,7 +30,7 @@ type Metrics struct {
 	// label cardinality is bounded by hosted datasets, not client
 	// input); stages decomposes the answer core (cache probe, batcher
 	// queue wait, engine build, engine execute, JSON encode); batchSizes
-	// the coalesced flush sizes.
+	// the sizes of the batches the batchers ran.
 	reqLatency *obs.HistogramVec // pnn_request_duration_seconds{endpoint=}
 	dsLatency  *obs.HistogramVec // pnn_dataset_duration_seconds{dataset=}
 	stages     *obs.HistogramVec // pnn_stage_duration_seconds{stage=}
@@ -58,7 +57,6 @@ func newMetrics() *Metrics {
 		batches:        reg.NewCounter("pnn_batches_total"),
 		batchedReqs:    reg.NewCounter("pnn_batched_requests_total"),
 		indexBuilds:    reg.NewCounter("pnn_index_builds_total"),
-		flushes:        reg.NewCounterVec("pnn_batch_flushes_total", "reason"),
 		deltaApplied:   reg.NewCounter("pnn_delta_applied_total"),
 		deltaFallbacks: reg.NewCounterVec("pnn_delta_fallback_total", "reason"),
 		reqLatency:     reg.NewHistogramVec("pnn_request_duration_seconds", "endpoint", obs.DurationBuckets),
@@ -75,10 +73,9 @@ func newMetrics() *Metrics {
 // can mount extra collectors onto the same /metrics page.
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
-func (m *Metrics) flush(size int, reason string) {
+func (m *Metrics) flush(size int) {
 	m.batches.Inc()
 	m.batchedReqs.Add(uint64(size))
-	m.flushes.Inc(reason)
 	m.batchSizes.Observe(float64(size))
 }
 
@@ -87,8 +84,8 @@ func (m *Metrics) flush(size int, reason string) {
 type Snapshot struct {
 	// CacheHits and CacheMisses count result-cache probes.
 	CacheHits, CacheMisses uint64
-	// Batches counts flushed coalesced batches; BatchedReqs the
-	// requests they carried.
+	// Batches counts the batches the batchers ran (one engine call
+	// each); BatchedReqs the requests they carried.
 	Batches, BatchedReqs uint64
 	// IndexBuilds counts lazily built engines; Errors the failed
 	// requests (non-2xx responses and failed batch items), across all
@@ -96,9 +93,6 @@ type Snapshot struct {
 	IndexBuilds, Errors uint64
 	// Requests counts requests per endpoint name.
 	Requests map[string]uint64
-	// Flushes counts batch flushes per reason ("full", "window",
-	// "immediate", "close").
-	Flushes map[string]uint64
 	// ErrorsByCode counts failures per stable api code.
 	ErrorsByCode map[string]uint64
 }
@@ -113,7 +107,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		IndexBuilds:  m.indexBuilds.Value(),
 		Errors:       m.errors.Total(),
 		Requests:     m.requests.Values(),
-		Flushes:      m.flushes.Values(),
 		ErrorsByCode: m.errors.Values(),
 	}
 }

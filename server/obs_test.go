@@ -20,7 +20,7 @@ import (
 // series, cumulative sorted histogram buckets.
 func TestMetricsExposition(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -69,7 +69,7 @@ func TestMetricsExposition(t *testing.T) {
 // echoed; a supplied ID is preserved; error bodies carry it.
 func TestRequestIDEcho(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -107,7 +107,7 @@ func TestRequestIDEcho(t *testing.T) {
 // both labeled by wire code.
 func TestErrorAccounting(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -160,7 +160,7 @@ func TestErrorAccounting(t *testing.T) {
 // percentiles per endpoint.
 func TestDebugObs(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -194,7 +194,7 @@ func TestRequestLogging(t *testing.T) {
 	var buf bytes.Buffer
 	mu := &syncWriter{w: &buf}
 	logger := slog.New(slog.NewJSONHandler(mu, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	srv := New(reg, Config{BatchWindow: -1, Logger: logger, SlowQueryThreshold: -1})
+	srv := New(reg, Config{Logger: logger, SlowQueryThreshold: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -235,7 +235,7 @@ func TestRequestLogging(t *testing.T) {
 
 	// With a tiny threshold every request is slow: level promotes to WARN.
 	buf.Reset()
-	srvSlow := New(reg, Config{BatchWindow: -1, Logger: logger, SlowQueryThreshold: 1})
+	srvSlow := New(reg, Config{Logger: logger, SlowQueryThreshold: 1})
 	defer srvSlow.Close()
 	hsSlow := httptest.NewServer(srvSlow.Handler())
 	defer hsSlow.Close()

@@ -313,7 +313,7 @@ func (d *Dataset) sameIncarnation(info store.DatasetInfo, err error) error {
 }
 
 // closeBatchers gracefully closes the batchers of every published
-// engine, flushing pending requests.
+// engine; each answers its queued requests before Close returns.
 func (d *Dataset) closeBatchers() {
 	for _, b := range d.batchers() {
 		b.Close()

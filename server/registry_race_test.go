@@ -97,7 +97,7 @@ func TestRegistryConcurrentMutations(t *testing.T) {
 // replaced whole — no engine of the old incarnation survives — and the
 // refresh counts the kind change or the op-tail gap it saw.
 func TestRefreshKindChange(t *testing.T) {
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	ctx := context.Background()
 	if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/d", api.CreateDataset{Kind: "discrete"}, testToken); status != http.StatusOK {
 		t.Fatalf("create: %d %s", status, raw)
@@ -160,7 +160,7 @@ func TestRefreshKindChange(t *testing.T) {
 // the drop — never 500 — and once the mutations quiesce the registry
 // agrees with the store on the dataset's existence, kind, and version.
 func TestRefreshKindChangeConcurrent(t *testing.T) {
-	srv, hs, st := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, st := storeServer(t, Config{})
 	const name = "flip"
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -22,21 +22,12 @@ import (
 )
 
 // Config tunes the serving behavior. The zero value is usable:
-// DefaultConfig documents the defaults applied to zero fields.
+// DefaultConfig documents the defaults applied to zero fields. Request
+// batching takes no configuration (see Batcher).
 type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries; < 0
 	// disables caching, 0 means the default (4096).
 	CacheSize int
-	// BatchWindow is how long the coalescing batcher holds the first
-	// request of a batch before flushing; < 0 disables coalescing
-	// (every request flushes immediately), 0 means the default (2ms).
-	BatchWindow time.Duration
-	// BatchMaxSize flushes a batch early once it holds this many
-	// requests; 0 means the default (64).
-	BatchMaxSize int
-	// BatchWorkers is the worker count of each QueryBatchOps call;
-	// 0 means GOMAXPROCS.
-	BatchWorkers int
 	// RequestTimeout bounds each request end to end (queueing in the
 	// batcher included); 0 means the default (30s), < 0 disables.
 	RequestTimeout time.Duration
@@ -89,8 +80,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CacheSize:            4096,
-		BatchWindow:          2 * time.Millisecond,
-		BatchMaxSize:         64,
 		RequestTimeout:       30 * time.Second,
 		MaxEnginesPerDataset: 32,
 		SlowQueryThreshold:   time.Second,
@@ -105,15 +94,6 @@ func (c Config) withDefaults() Config {
 		c.CacheSize = 0
 	case c.CacheSize == 0:
 		c.CacheSize = d.CacheSize
-	}
-	switch {
-	case c.BatchWindow < 0:
-		c.BatchWindow = 0
-	case c.BatchWindow == 0:
-		c.BatchWindow = d.BatchWindow
-	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = d.BatchMaxSize
 	}
 	switch {
 	case c.RequestTimeout < 0:
@@ -141,7 +121,7 @@ func (c Config) withDefaults() Config {
 
 // Server answers the pnn query surface over HTTP/JSON for every dataset
 // in its registry. Construct with New, mount Handler, and Close on
-// shutdown to flush in-flight batches.
+// shutdown to answer every queued request.
 type Server struct {
 	cfg     Config
 	reg     *Registry
@@ -255,10 +235,10 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Metrics exposes the counters (for tests and embedding servers).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Close gracefully closes every batcher: pending coalesced requests
-// are answered, then further queries fail. Call after the HTTP
-// listener has stopped accepting. The store, if any, stays open (its
-// owner closes it).
+// Close gracefully closes every batcher: queued requests are
+// answered, then further queries fail. Call after the HTTP listener
+// has stopped accepting. The store, if any, stays open (its owner
+// closes it).
 func (s *Server) Close() {
 	s.closed.Store(true)
 	for _, name := range s.reg.Names() {
@@ -302,7 +282,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery serves one facade method: parse, then the shared answer
-// core (cache probe → lazy index build → coalescing batcher → encode).
+// core (cache probe → lazy index build → batcher → encode).
 func (s *Server) handleQuery(op pnn.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -335,8 +315,8 @@ type queryError struct {
 }
 
 // answer resolves one validated query end to end: result-cache probe,
-// lazy engine build, coalescing batcher, encode, cache fill. It is the
-// shared core of the single-query handlers and the /v1/batch items, so
+// lazy engine build, batcher, encode, cache fill. It is the shared
+// core of the single-query handlers and the /v1/batch items, so
 // both return byte-identical bodies and identical error codes. The
 // returned body has no trailing newline (writeRaw appends one).
 //
@@ -490,8 +470,7 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		}
 		e.eng = engine.NewStatic(ix)
 	}
-	e.batcher = NewBatcher(e.eng, s.cfg.BatchWindow, s.cfg.BatchMaxSize,
-		s.cfg.BatchWorkers, s.metrics.flush)
+	e.batcher = NewBatcher(e.eng, s.metrics.flush)
 	// The entry is still private to this build, so wiring the stage
 	// observer here is race-free. Queue wait feeds both the aggregate
 	// stage histogram and the per-dataset contention one.

@@ -54,23 +54,50 @@ func getBody(t *testing.T, hs *httptest.Server, path string) (int, http.Header, 
 	return resp.StatusCode, resp.Header, body
 }
 
+// installGate builds the engine a query to path would use, through
+// the server's own build path, and wraps it in a gatedEngine with a
+// one-core batcher before the entry is published: every request for
+// that engine then queues behind a batch the test holds open.
+func installGate(t *testing.T, srv *Server, path string, op pnn.Op) (*gatedEngine, *indexEntry) {
+	t.Helper()
+	p, err := parseParams(httptest.NewRequest(http.MethodGet, path, nil), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := srv.reg.Get(p.dataset)
+	var g *gatedEngine
+	e, err := ds.entry(p.key, 0, func(e *indexEntry) error {
+		if err := srv.buildEngine(context.Background(), e, ds, p.key); err != nil {
+			return err
+		}
+		g = newGatedEngine(e.eng)
+		e.eng = g
+		e.batcher = NewBatcher(g, srv.metrics.flush)
+		e.batcher.cores = 1
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, e
+}
+
 // TestCoalescedBatchByteIdentical is the acceptance end-to-end test: N
 // concurrent HTTP queries — mixed across all five endpoints — are
-// provably coalesced into a single QueryBatchOps call (long window,
-// MaxBatch = N, so the flush can only be the "full" one), and every
-// response body is byte-identical to what the same sequential pnn.Index
-// call encodes.
+// provably coalesced (one request holds the engine, the other N−1
+// queue behind it and run as exactly one QueryBatchOps call), and
+// every response body is byte-identical to what the same sequential
+// pnn.Index call encodes.
 func TestCoalescedBatchByteIdentical(t *testing.T) {
 	reg, set := testRegistry(t)
 	srv := New(reg, Config{
-		CacheSize:    -1, // cache off: every request must reach the batcher
-		BatchWindow:  time.Minute,
-		BatchMaxSize: 15,
-		BatchWorkers: 4,
+		CacheSize: -1, // cache off: every request must reach the batcher
 	})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
+	g, entry := installGate(t, srv, "/v1/nonzero?dataset=fleet&x=0&y=0", pnn.OpNonzero)
+	defer g.open()
 
 	// The sequential oracle: same set, same engine configuration.
 	idx, err := pnn.New(set, pnn.WithNonzeroBackend(pnn.BackendIndex),
@@ -122,22 +149,34 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 		)
 	}
 	if len(calls) != 15 {
-		t.Fatalf("test bug: %d calls, want 15 = BatchMaxSize", len(calls))
+		t.Fatalf("test bug: %d calls, want 15", len(calls))
 	}
 
 	bodies := make([][]byte, len(calls))
 	var wg sync.WaitGroup
-	for i, c := range calls {
+	fetch := func(i int) {
 		wg.Add(1)
-		go func(i int, path string) {
+		go func() {
 			defer wg.Done()
-			status, _, body := getBody(t, hs, path)
+			status, _, body := getBody(t, hs, calls[i].path)
 			if status != http.StatusOK {
-				t.Errorf("%s: status %d: %s", path, status, body)
+				t.Errorf("%s: status %d: %s", calls[i].path, status, body)
 				return
 			}
 			bodies[i] = body
-		}(i, c.path)
+		}()
+	}
+	fetch(0)
+	if got := len(g.waitEntered(t)); got != 1 {
+		t.Fatalf("first batch has %d requests, want 1", got)
+	}
+	for i := 1; i < len(calls); i++ {
+		fetch(i)
+	}
+	waitDepth(t, entry.batcher, len(calls)-1)
+	g.open()
+	if got := len(g.waitEntered(t)); got != len(calls)-1 {
+		t.Errorf("second batch has %d requests, want %d", got, len(calls)-1)
 	}
 	wg.Wait()
 
@@ -152,14 +191,11 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 		}
 	}
 	snap := srv.Metrics().Snapshot()
-	if snap.Batches != 1 {
-		t.Errorf("batches = %d, want exactly 1 (coalescing not proven)", snap.Batches)
+	if snap.Batches != 2 {
+		t.Errorf("batches = %d, want exactly 2 (coalescing not proven)", snap.Batches)
 	}
 	if snap.BatchedReqs != uint64(len(calls)) {
 		t.Errorf("batched requests = %d, want %d", snap.BatchedReqs, len(calls))
-	}
-	if snap.Flushes["full"] != 1 {
-		t.Errorf("full flushes = %d, want 1", snap.Flushes["full"])
 	}
 	if snap.IndexBuilds != 1 {
 		t.Errorf("index builds = %d, want 1 (one engine per configuration)", snap.IndexBuilds)
@@ -171,7 +207,7 @@ func TestCoalescedBatchByteIdentical(t *testing.T) {
 // header and the counters.
 func TestCacheHitPath(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1}) // no coalescing delay
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -217,7 +253,7 @@ func TestEndpointsAndErrors(t *testing.T) {
 	if err := reg.Add("squares", sq); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -290,7 +326,7 @@ func TestEndpointsAndErrors(t *testing.T) {
 // irrelevant to the method are normalized into one engine.
 func TestDistinctEnginesPerConfig(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1})
+	srv := New(reg, Config{CacheSize: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -322,7 +358,7 @@ func TestDistinctEnginesPerConfig(t *testing.T) {
 // memory against adversarial parameter sweeps.
 func TestEngineCap(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1, MaxEnginesPerDataset: 3})
+	srv := New(reg, Config{CacheSize: -1, MaxEnginesPerDataset: 3})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -364,7 +400,7 @@ func TestEngineCapNotExhaustedByFailedBuilds(t *testing.T) {
 	if err := reg.Add("sq", sq); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(reg, Config{BatchWindow: -1, CacheSize: -1, MaxEnginesPerDataset: 2})
+	srv := New(reg, Config{CacheSize: -1, MaxEnginesPerDataset: 2})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -389,18 +425,16 @@ func TestEngineCapNotExhaustedByFailedBuilds(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout parks a request in a long coalescing window behind
-// a short per-request timeout and expects 503 from the timeout handler.
+// TestRequestTimeout parks a request behind a held engine call with a
+// short per-request timeout and expects 503 from the timeout handler.
 func TestRequestTimeout(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{
-		BatchWindow:    10 * time.Second,
-		BatchMaxSize:   1000,
-		RequestTimeout: 50 * time.Millisecond,
-	})
+	srv := New(reg, Config{RequestTimeout: 50 * time.Millisecond})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
+	g, _ := installGate(t, srv, "/v1/nonzero?dataset=fleet&x=1&y=1", pnn.OpNonzero)
+	defer g.open()
 
 	status, _, _ := getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=1")
 	if status != http.StatusServiceUnavailable {
@@ -412,7 +446,7 @@ func TestRequestTimeout(t *testing.T) {
 // cleanly rather than hanging.
 func TestServerCloseFailsLateQueries(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
@@ -436,7 +470,7 @@ func TestServerCloseFailsLateQueries(t *testing.T) {
 // engines — from many goroutines under the race detector.
 func TestConcurrentMixedLoad(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: 500 * time.Microsecond, BatchMaxSize: 8, CacheSize: 64})
+	srv := New(reg, Config{CacheSize: 64})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -469,7 +503,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		t.Error("expected cache hits under repeated mixed load")
 	}
 	if snap.Batches == 0 {
-		t.Error("expected at least one coalesced batch")
+		t.Error("expected at least one batch")
 	}
 }
 
@@ -477,10 +511,12 @@ func TestConcurrentMixedLoad(t *testing.T) {
 // reported as an error status, not a hang.
 func TestClientContextCancelled(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: 10 * time.Second, BatchMaxSize: 1000, RequestTimeout: -1})
+	srv := New(reg, Config{RequestTimeout: -1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
+	g, _ := installGate(t, srv, "/v1/nonzero?dataset=fleet&x=1&y=1", pnn.OpNonzero)
+	defer g.open()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

@@ -87,7 +87,7 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(reg, server.Config{BatchWindow: -1, Logger: backendLog})
+	srv := server.New(reg, server.Config{Logger: backendLog})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

@@ -99,7 +99,7 @@ func backendHandler(t *testing.T, sets map[string]pnn.UncertainSet) http.Handler
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(reg, server.Config{BatchWindow: -1})
+	srv := server.New(reg, server.Config{})
 	t.Cleanup(srv.Close)
 	return srv.Handler()
 }

@@ -79,7 +79,7 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(reg, server.Config{BatchWindow: -1, TraceSampleRate: 1})
+	srv := server.New(reg, server.Config{TraceSampleRate: 1})
 	defer srv.Close()
 	backend := httptest.NewServer(srv.Handler())
 	defer backend.Close()

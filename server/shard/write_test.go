@@ -28,7 +28,7 @@ func newDurableBackend(t *testing.T) *httptest.Server {
 	}
 	t.Cleanup(func() { st.Close() })
 	srv := server.New(server.NewRegistry(), server.Config{
-		BatchWindow: -1, Store: st, AdminToken: adminToken,
+		Store: st, AdminToken: adminToken,
 	})
 	t.Cleanup(srv.Close)
 	hs := httptest.NewServer(srv.Handler())

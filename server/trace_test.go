@@ -97,7 +97,7 @@ func spanNamed(t *testing.T, tr obs.TraceData, name string) obs.SpanData {
 // WAL append, the fsync wait, and the delta apply — with parent/child
 // nesting matching the call structure.
 func TestTracedWriteEndToEnd(t *testing.T) {
-	_, hs, _ := storeServer(t, Config{BatchWindow: -1, TraceSampleRate: 1})
+	_, hs, _ := storeServer(t, Config{TraceSampleRate: 1})
 
 	if status, _, raw := tracedDo(t, hs, http.MethodPut, api.DatasetPath("a"), "", api.CreateDataset{Kind: "disks"}, testToken); status != http.StatusOK {
 		t.Fatalf("create: %d %s", status, raw)
@@ -185,7 +185,7 @@ func fetchObsSnapshot(t *testing.T, hs *httptest.Server) obs.Snapshot {
 // report can be matched to its kept trace.
 func TestTraceErrorBody(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1, TraceSampleRate: 1})
+	srv := New(reg, Config{TraceSampleRate: 1})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
@@ -208,7 +208,7 @@ func TestTraceErrorBody(t *testing.T) {
 // dataset and reads zero at rest (requests drain before the scrape).
 func TestQueueDepthGauge(t *testing.T) {
 	reg, _ := testRegistry(t)
-	srv := New(reg, Config{BatchWindow: -1})
+	srv := New(reg, Config{})
 	defer srv.Close()
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()

@@ -30,7 +30,7 @@ import (
 // instead of hiding in wall-clock noise.
 func TestSequentialHistoryWorkCounts(t *testing.T) {
 	const name = "work"
-	srv, hs, _ := storeServer(t, Config{BatchWindow: -1})
+	srv, hs, _ := storeServer(t, Config{})
 	var mutations, writes uint64
 	mutate := func(method, path string, body any) api.Mutation {
 		t.Helper()
