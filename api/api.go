@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 )
 
 // Point is a query location.
@@ -26,13 +28,14 @@ type IndexProb struct {
 type Error struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-	// RequestID echoes the request's X-Pnn-Request-Id (see
-	// RequestIDHeader), so a failure in hand can be correlated with the
-	// router and backend log lines that produced it.
+	// RequestID carries the same value as TraceID, for clients built
+	// when it held a separate request ID.
+	//
+	// Deprecated: use TraceID, the only correlation ID.
 	RequestID string `json:"request_id,omitempty"`
 	// TraceID echoes the request's trace ID (see TraceParentHeader), so
-	// a failure in hand can be looked up in /debug/traces on every tier
-	// the request crossed.
+	// a failure in hand can be matched to the log lines of every tier
+	// the request crossed and looked up at /debug/traces?id=<trace id>.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -219,23 +222,16 @@ const CacheHeader = "X-Pnn-Cache"
 // part of the cached body.
 const BackendHeader = "X-Pnn-Backend"
 
-// RequestIDHeader carries the request ID end to end: minted at the
-// first pnn tier a request reaches (router or server) unless the
-// client supplied its own, forwarded on every proxied hop and
-// scatter-gather sub-request, and echoed on the response — so one ID
-// names the same request in the client's error, the router's log line,
-// and the backend's log line. It is a header rather than a body field
-// so cached bodies stay byte-identical across requests.
-const RequestIDHeader = "X-Pnn-Request-Id"
-
 // TraceParentHeader carries the distributed trace context end to end
 // in the W3C trace-context format
 // (`00-<32 hex trace id>-<16 hex span id>-<2 hex flags>`): minted at
 // the first pnn tier a request reaches unless the client supplied its
 // own, forwarded on every proxied hop and scatter-gather sub-request
 // with the forwarder's span as the new parent, and echoed on the
-// response. One trace ID names the same request's spans in
-// /debug/traces on every tier it crossed.
+// response. Its trace ID is the stack's one correlation ID: it names
+// the same request in the client's error, every tier's log line, and
+// /debug/traces on every tier it crossed. It is a header rather than a
+// body field so cached bodies stay byte-identical across requests.
 const TraceParentHeader = "Traceparent"
 
 // BatchPath is the heterogeneous-batch endpoint, served by both
@@ -260,6 +256,37 @@ var Ops = []string{"nonzero", "probabilities", "topk", "threshold", "expectednn"
 // QueryPath returns the single-query endpoint path of an op wire name
 // (e.g. "nonzero" → "/v1/nonzero").
 func QueryPath(op string) string { return "/v1/" + op }
+
+// Endpoint maps a request path onto a bounded endpoint label, the one
+// server and router both use for metrics, logs and root spans: the op
+// name for single-query paths, the section name for everything else,
+// "other" for unknown paths. Labels come from the route table, never
+// from raw client input, so metric cardinality cannot be inflated by
+// path scans.
+func Endpoint(path string) string {
+	switch path {
+	case "/healthz":
+		return "healthz"
+	case "/metrics":
+		return "metrics"
+	case "/debug/obs", "/debug/traces":
+		return "debug"
+	case BatchPath:
+		return "batch"
+	case "/v1/datasets":
+		return "datasets"
+	}
+	if strings.HasPrefix(path, "/v1/datasets/") {
+		return "admin"
+	}
+	if strings.HasPrefix(path, "/debug/pprof") {
+		return "debug"
+	}
+	if op, ok := strings.CutPrefix(path, "/v1/"); ok && slices.Contains(Ops, op) {
+		return op
+	}
+	return "other"
+}
 
 // Mutation endpoints. Dataset names are path elements restricted to
 // [A-Za-z0-9._-]; ids are the stable point ids assigned at insert.

@@ -92,3 +92,33 @@ func TestCodeStatusesCoversEveryCode(t *testing.T) {
 		}
 	}
 }
+
+// TestEndpoint pins the route → label map both tiers share: every
+// route has its label, and any other path — a scan, an unknown op, a
+// near miss — collapses onto "other", so labels stay bounded.
+func TestEndpoint(t *testing.T) {
+	want := map[string]string{
+		"/healthz":            "healthz",
+		"/metrics":            "metrics",
+		"/debug/obs":          "debug",
+		"/debug/traces":       "debug",
+		"/debug/pprof/heap":   "debug",
+		BatchPath:             "batch",
+		"/v1/datasets":        "datasets",
+		DatasetPath("fleet"):  "admin",
+		PointPath("fleet", 7): "admin",
+		"/v1/nonzero/extra":   "other",
+		"/v1/unknown":         "other",
+		"/v1/":                "other",
+		"/wp-admin.php":       "other",
+		"/debug/tracesX":      "other",
+	}
+	for _, op := range Ops {
+		want[QueryPath(op)] = op
+	}
+	for path, label := range want {
+		if got := Endpoint(path); got != label {
+			t.Errorf("Endpoint(%q) = %q, want %q", path, got, label)
+		}
+	}
+}

@@ -69,19 +69,16 @@ type APIError struct {
 	Code string
 	// Message is the human-readable error message.
 	Message string
-	// RequestID is the server-assigned (or caller-supplied) request ID
-	// echoed with the failure — quote it when filing a report, it
-	// matches the request's log lines on every tier it touched. Empty
-	// when talking to servers predating request tracing.
-	RequestID string
 	// TraceID is the distributed trace the failed request ran under —
-	// look it up at /debug/traces on the tier that answered (and, for
-	// routed requests, on the backends it touched). Empty when talking
-	// to servers predating span tracing.
+	// quote it when filing a report: it matches the request's log lines
+	// on every tier it touched, and /debug/traces?id=<TraceID> on the
+	// tier that answered (and, for routed requests, on the backends it
+	// touched) serves its spans. Empty when talking to servers predating
+	// span tracing.
 	TraceID string
 }
 
-// Error renders the status, code, message, and request ID.
+// Error renders the status, code, message, and trace ID.
 func (e *APIError) Error() string {
 	var b strings.Builder
 	b.WriteString("pnnserve: ")
@@ -91,9 +88,6 @@ func (e *APIError) Error() string {
 	}
 	b.WriteString(": ")
 	b.WriteString(e.Message)
-	if e.RequestID != "" {
-		fmt.Fprintf(&b, " [request %s]", e.RequestID)
-	}
 	if e.TraceID != "" {
 		fmt.Fprintf(&b, " [trace %s]", e.TraceID)
 	}
@@ -490,26 +484,22 @@ func (c *Client) doOne(ctx context.Context, base, method, path string, v url.Val
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		// Prefer the error body's request and trace IDs; fall back to the
-		// response headers, which survive even when the body is not an
+		// Prefer the error body's trace ID; fall back to the response's
+		// traceparent, which survives even when the body is not an
 		// api.Error (e.g. TimeoutHandler's plaintext 503 — the middleware
-		// stamped the headers before the handler ran).
-		reqID := resp.Header.Get(api.RequestIDHeader)
+		// stamped the header before the handler ran).
 		var traceID string
 		if tid, _, ok := obs.ParseTraceParent(resp.Header.Get(api.TraceParentHeader)); ok {
 			traceID = tid
 		}
 		var apiErr api.Error
 		if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
-			if apiErr.RequestID != "" {
-				reqID = apiErr.RequestID
-			}
 			if apiErr.TraceID != "" {
 				traceID = apiErr.TraceID
 			}
-			return &APIError{StatusCode: resp.StatusCode, Code: apiErr.Code, Message: apiErr.Error, RequestID: reqID, TraceID: traceID}
+			return &APIError{StatusCode: resp.StatusCode, Code: apiErr.Code, Message: apiErr.Error, TraceID: traceID}
 		}
-		return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(body)), RequestID: reqID, TraceID: traceID}
+		return &APIError{StatusCode: resp.StatusCode, Message: strings.TrimSpace(string(body)), TraceID: traceID}
 	}
 	return json.Unmarshal(body, out)
 }

@@ -149,11 +149,11 @@ func TestClientErrors(t *testing.T) {
 	if apiErr.Code != api.CodeUnknownDataset {
 		t.Errorf("apiErr.Code = %q, want %q", apiErr.Code, api.CodeUnknownDataset)
 	}
-	if len(apiErr.RequestID) != 16 {
-		t.Errorf("apiErr.RequestID = %q, want a minted 16-hex id", apiErr.RequestID)
+	if len(apiErr.TraceID) != 32 {
+		t.Errorf("apiErr.TraceID = %q, want a minted 32-hex trace id", apiErr.TraceID)
 	}
-	if !strings.Contains(apiErr.Error(), apiErr.RequestID) {
-		t.Errorf("Error() = %q, want the request id included", apiErr.Error())
+	if !strings.Contains(apiErr.Error(), apiErr.TraceID) {
+		t.Errorf("Error() = %q, want the trace id included", apiErr.Error())
 	}
 
 	if _, err := c.TopK(context.Background(), "fleet", 1, 2, -1, nil); err == nil {
@@ -162,9 +162,10 @@ func TestClientErrors(t *testing.T) {
 }
 
 // TestClientRequestIDThroughRouter: an error answered through the full
-// stack (client → router → backend) surfaces the request ID the router
-// minted, so one identifier correlates the client-side failure with the
-// log lines on both tiers.
+// stack (client → router → backend) surfaces the trace ID the router
+// minted — the stack's one correlation ID, which replaced the separate
+// request ID — so one identifier correlates the client-side failure
+// with the log lines on both tiers.
 func TestClientRequestIDThroughRouter(t *testing.T) {
 	_, _, backendURL := testServerURL(t)
 	rt, err := shard.New(shard.Config{Backends: []string{backendURL}, ProbeInterval: -1})
@@ -184,8 +185,8 @@ func TestClientRequestIDThroughRouter(t *testing.T) {
 	if apiErr.Code != api.CodeUnknownDataset {
 		t.Errorf("apiErr.Code = %q", apiErr.Code)
 	}
-	if len(apiErr.RequestID) != 16 {
-		t.Errorf("routed apiErr.RequestID = %q, want a minted 16-hex id", apiErr.RequestID)
+	if len(apiErr.TraceID) != 32 {
+		t.Errorf("routed apiErr.TraceID = %q, want a minted 32-hex trace id", apiErr.TraceID)
 	}
 }
 

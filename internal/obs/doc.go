@@ -2,9 +2,11 @@
 // stack: stdlib-only metric instruments (counters, gauges, and
 // log-bucketed cumulative histograms) rendered in the Prometheus text
 // exposition format, a registry that keeps one /metrics page
-// well-formed, request-ID generation and context propagation for
-// cross-tier correlation, and a monotonic stage timer for latency
-// decomposition.
+// well-formed, and W3C-style span tracing whose trace ID is the one
+// correlation ID across tiers. Stage records a finished request stage
+// in its histogram and, when the trace is recorded, as a span over the
+// same two clock reads, so metrics and traces decompose latency into
+// the same stages.
 //
 // Every tier registers its instruments into one Registry: pnnserve
 // mounts its own families plus the store's (WAL, snapshot, replay),

@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestExpBuckets(t *testing.T) {
@@ -213,50 +212,4 @@ func TestRegistry(t *testing.T) {
 		}
 	}()
 	r.NewCounter("zz_total")
-}
-
-func TestRequestID(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		id := NewRequestID()
-		if len(id) != 16 {
-			t.Fatalf("id %q: want 16 hex chars", id)
-		}
-		for _, r := range id {
-			if !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f') {
-				t.Fatalf("id %q: non-hex rune %q", id, r)
-			}
-		}
-		if seen[id] {
-			t.Fatalf("duplicate id %q in 100 draws", id)
-		}
-		seen[id] = true
-	}
-}
-
-func TestRequestIDContext(t *testing.T) {
-	ctx := t.Context()
-	if got := RequestID(ctx); got != "" {
-		t.Fatalf("empty ctx id = %q", got)
-	}
-	ctx = WithRequestID(ctx, "abc123")
-	if got := RequestID(ctx); got != "abc123" {
-		t.Fatalf("ctx id = %q", got)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := StartTimer()
-	time.Sleep(2 * time.Millisecond)
-	lap1 := tm.Lap()
-	if lap1 <= 0 {
-		t.Fatalf("lap1 = %v", lap1)
-	}
-	lap2 := tm.Lap()
-	if lap2 < 0 || lap2 > lap1 {
-		t.Fatalf("lap2 = %v, want tiny after immediate re-lap", lap2)
-	}
-	if total := tm.Total(); total < lap1 {
-		t.Fatalf("total %v < lap1 %v", total, lap1)
-	}
 }

@@ -5,7 +5,10 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -14,9 +17,9 @@ import (
 //
 // A trace ID is minted (or echoed from the incoming traceparent
 // header) at each tier's edge and carried in the request context
-// across every hop, exactly like request IDs — so the ID is always
-// available for log lines, error bodies, and downstream headers even
-// when the trace is not being recorded. Span recording is separate
+// across every hop. It is the stack's only correlation ID: it is
+// always available for log lines, error bodies, and downstream headers
+// even when the trace is not being recorded. Span recording is separate
 // and tail-biased: a trace's spans are collected in flight when it
 // was coin-sampled upstream or locally, or whenever a slow-capture
 // threshold is armed, and the finished trace is kept in the tracer's
@@ -201,6 +204,24 @@ func (t *Tracer) keep(td TraceData) {
 	t.mu.Unlock()
 }
 
+// ServeHTTP serves GET /debug/traces: every kept trace, newest first,
+// as {"traces": [...]}; with ?id=<trace-id>, only that trace (an empty
+// list when the ring no longer holds it). A nil tracer serves an empty
+// list.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	traces := t.Snapshot()
+	if id := r.URL.Query().Get("id"); id != "" {
+		traces = slices.DeleteFunc(traces, func(td TraceData) bool { return td.TraceID != id })
+	}
+	if traces == nil {
+		traces = []TraceData{}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(struct {
+		Traces []TraceData `json:"traces"`
+	}{traces})
+}
+
 // Snapshot copies the kept traces, newest first.
 func (t *Tracer) Snapshot() []TraceData {
 	if t == nil {
@@ -225,6 +246,23 @@ type activeTrace struct {
 
 	mu    sync.Mutex
 	spans []SpanData
+}
+
+// add appends one finished span to the trace and returns the spans so
+// far.
+func (at *activeTrace) add(name, id, parent string, start, end time.Time, attrs map[string]string) []SpanData {
+	sd := SpanData{
+		Name:       name,
+		SpanID:     id,
+		ParentID:   parent,
+		StartNs:    start.Sub(at.start).Nanoseconds(),
+		DurationNs: end.Sub(start).Nanoseconds(),
+		Attrs:      attrs,
+	}
+	at.mu.Lock()
+	defer at.mu.Unlock()
+	at.spans = append(at.spans, sd)
+	return at.spans
 }
 
 // Span is one timed operation inside a recorded trace. The nil *Span
@@ -276,18 +314,7 @@ func (s *Span) End() {
 	s.mu.Unlock()
 
 	at := s.t
-	sd := SpanData{
-		Name:       s.name,
-		SpanID:     s.id,
-		ParentID:   s.parent,
-		StartNs:    s.start.Sub(at.start).Nanoseconds(),
-		DurationNs: end.Sub(s.start).Nanoseconds(),
-		Attrs:      attrs,
-	}
-	at.mu.Lock()
-	at.spans = append(at.spans, sd)
-	spans := at.spans
-	at.mu.Unlock()
+	spans := at.add(s.name, s.id, s.parent, s.start, end, attrs)
 	if !s.root {
 		return
 	}
@@ -367,15 +394,42 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // LeafSpan starts a child span WITHOUT deriving a context — for leaf
-// operations that deliberately don't propagate further (a batcher
-// stage timed on behalf of a request, say). Nil when the trace is not
-// being recorded.
+// operations that deliberately don't propagate further but must be
+// named before they finish (the router's proxy attempt, whose span ID
+// is forwarded before the call, say). A stage timed after the fact
+// with a histogram beside it uses Stage instead. Nil when the trace is
+// not being recorded.
 func LeafSpan(ctx context.Context, name string) *Span {
 	tc, _ := ctx.Value(traceCtxKey{}).(*traceCtx)
 	if tc == nil || tc.span == nil {
 		return nil
 	}
 	return &Span{t: tc.span.t, id: NewSpanID(), parent: tc.spanID, name: name, start: time.Now()}
+}
+
+// Stage records one finished stage of a request from a single pair of
+// clock reads: end − start is observed in h and, when ctx's trace is
+// recorded, also becomes a child span named name over the same
+// interval, with kv (alternating keys and values) as its attributes.
+// It returns end − start. A stage's histogram count therefore equals
+// its span count in every recorded trace, and the not-recorded path
+// allocates nothing.
+func Stage(ctx context.Context, name string, h *Histogram, start, end time.Time, kv ...string) time.Duration {
+	d := end.Sub(start)
+	h.ObserveDuration(d)
+	tc, _ := ctx.Value(traceCtxKey{}).(*traceCtx)
+	if tc == nil || tc.span == nil {
+		return d
+	}
+	var attrs map[string]string
+	if len(kv) > 0 {
+		attrs = make(map[string]string, len(kv)/2)
+		for i := 0; i+1 < len(kv); i += 2 {
+			attrs[kv[i]] = kv[i+1]
+		}
+	}
+	tc.span.t.add(name, NewSpanID(), tc.spanID, start, end, attrs)
+	return d
 }
 
 // TraceID returns the context's trace ID, or "" outside a trace.

@@ -48,6 +48,10 @@ func TestTracerNotRecordingIsFree(t *testing.T) {
 	if TraceID(ctx) == "" {
 		t.Fatal("trace ID must propagate even when not recording")
 	}
+	h := NewHistogram("stage_seconds", DurationBuckets)
+	start := time.Now()
+	end := start.Add(time.Millisecond)
+	dataset := "fleet"
 	allocs := testing.AllocsPerRun(100, func() {
 		c2, s := StartSpan(ctx, "stage")
 		s.SetAttr("k", "v")
@@ -57,6 +61,9 @@ func TestTracerNotRecordingIsFree(t *testing.T) {
 		}
 		if ls := LeafSpan(ctx, "leaf"); ls != nil {
 			t.Fatal("LeafSpan recorded while not recording")
+		}
+		if d := Stage(ctx, "stage", h, start, end, "dataset", dataset); d != time.Millisecond {
+			t.Fatalf("Stage returned %v, want 1ms", d)
 		}
 	})
 	if allocs != 0 {
@@ -103,6 +110,52 @@ func TestTracerRecordsNestedSpans(t *testing.T) {
 	}
 	if byName["stage"].Attrs["dataset"] != "fleet" {
 		t.Fatalf("stage attrs = %v", byName["stage"].Attrs)
+	}
+}
+
+// TestStage: one Stage call observes its interval in the histogram
+// whether or not the trace records, and adds a child span over exactly
+// that interval, with its attributes, only when it does.
+func TestStage(t *testing.T) {
+	h := NewHistogram("stage_seconds", DurationBuckets)
+	now := time.Now()
+	Stage(context.Background(), "outside", h, now, now)
+	if h.Count() != 1 {
+		t.Fatalf("count = %d after a Stage outside any trace, want 1", h.Count())
+	}
+
+	tr := NewTracerSeeded(1, 0, 8, 1)
+	ctx, root := StartTrace(context.Background(), tr, "req", "")
+	start := time.Now()
+	end := start.Add(3 * time.Millisecond)
+	if d := Stage(ctx, "execute", h, start, end, "dataset", "fleet", "backend", "index"); d != 3*time.Millisecond {
+		t.Fatalf("Stage returned %v, want 3ms", d)
+	}
+	root.End()
+	if h.Count() != 2 || h.Sum() != 0.003 {
+		t.Fatalf("histogram count/sum = %d/%g, want 2/0.003", h.Count(), h.Sum())
+	}
+	traces := tr.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(traces))
+	}
+	var stage, rootSpan SpanData
+	for _, sp := range traces[0].Spans {
+		switch sp.Name {
+		case "execute":
+			stage = sp
+		case "req":
+			rootSpan = sp
+		}
+	}
+	if stage.SpanID == "" || stage.ParentID != rootSpan.SpanID {
+		t.Fatalf("stage span %+v is not a child of the root %+v", stage, rootSpan)
+	}
+	if stage.DurationNs != (3 * time.Millisecond).Nanoseconds() {
+		t.Errorf("stage span lasts %dns, want the histogram's 3ms", stage.DurationNs)
+	}
+	if stage.Attrs["dataset"] != "fleet" || stage.Attrs["backend"] != "index" || len(stage.Attrs) != 2 {
+		t.Errorf("stage attrs = %v", stage.Attrs)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"pnn/api"
 	"pnn/internal/datafile"
@@ -74,11 +75,9 @@ func (s *Server) refreshDataset(ctx context.Context, name string) error {
 	if s.reg.Get(name) != nil {
 		label = name
 	}
-	span := obs.LeafSpan(ctx, "refresh.lock")
-	wait := obs.StartTimer()
+	start := time.Now()
 	l := s.lockRefresh(name)
-	s.metrics.lockWait.With(label).ObserveDuration(wait.Total())
-	span.End()
+	obs.Stage(ctx, "refresh.lock", s.metrics.lockWait.With(label), start, time.Now())
 	defer s.unlockRefresh(name, l)
 
 	d := s.reg.Get(name)
@@ -100,13 +99,10 @@ func (s *Server) refreshDataset(ctx context.Context, name string) error {
 	case !ok:
 		s.metrics.deltaFallbacks.Inc("tail_gap")
 	default:
-		span = obs.LeafSpan(ctx, "delta.apply")
-		span.SetAttr("dataset", name)
-		t := obs.StartTimer()
+		start = time.Now()
 		d.applyDelta(info, ops)
-		span.End()
+		obs.Stage(ctx, "delta.apply", s.metrics.deltaApply, start, time.Now(), "dataset", name)
 		s.metrics.deltaApplied.Inc()
-		s.metrics.deltaApply.ObserveDuration(t.Total())
 		return nil
 	}
 	s.reg.put(s.cfg.Store, info)

@@ -96,13 +96,13 @@ func (s *Server) answerItem(ctx context.Context, it api.BatchItem) api.BatchResu
 
 // itemError shapes one failed batch item, counting it in
 // pnn_errors_total alongside the single-query failures (which count in
-// writeError) and stamping the batch's request and trace IDs so the
-// item can be correlated with the server's log line and trace.
+// writeError) and stamping the batch's trace ID (and its deprecated
+// RequestID alias) so the item can be correlated with the server's log
+// line and trace.
 func (s *Server) itemError(ctx context.Context, code string, err error) api.BatchResult {
 	s.metrics.errors.Inc(code)
-	return api.BatchResult{Error: &api.Error{
-		Error: err.Error(), Code: code, RequestID: obs.RequestID(ctx), TraceID: obs.TraceID(ctx),
-	}}
+	id := obs.TraceID(ctx)
+	return api.BatchResult{Error: &api.Error{Error: err.Error(), Code: code, RequestID: id, TraceID: id}}
 }
 
 // opFromString maps a wire op name onto the facade's Op.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pnn"
-	"pnn/internal/obs"
 	"pnn/server/engine"
 )
 
@@ -48,12 +47,6 @@ type Batcher struct {
 	q engine.Querier
 	// onFlush, when non-nil, observes the size of every answered batch.
 	onFlush func(size int)
-	// onQueue and onExec, when non-nil, decompose the batching latency:
-	// onQueue observes each request's wait between Submit and its flush
-	// starting, onExec the engine time of each flushed batch. Set via
-	// SetStageObserver before the batcher serves its first Submit.
-	onQueue func(time.Duration)
-	onExec  func(time.Duration)
 
 	mu      sync.Mutex
 	pending []pendingReq
@@ -69,18 +62,22 @@ type Batcher struct {
 
 type pendingReq struct {
 	req pnn.Request
-	ch  chan pnn.OpResult
-	// enq is the Submit time, stamped only when a queue observer is
-	// wired, so unobserved batchers skip the clock read.
-	enq time.Time
-	// ctx is the submitter's request context, carried only so run can
-	// attach stage spans to the submitter's trace; the batch itself
-	// deliberately runs under Background (see run). span is the
-	// in-flight queue-wait span, reused for the execute span once the
-	// flush starts. Both are nil when the request is untraced.
-	ctx  context.Context
-	span *obs.Span
+	ch  chan reply
 }
+
+// reply is one request's result and the engine interval of the batch
+// that produced it.
+type reply struct {
+	res pnn.OpResult
+	ran Ran
+}
+
+// Ran is the engine interval of the batch that answered a request: the
+// clock read just before its engine call and the one just after. Every
+// request of one batch gets the same Ran, so a caller can time its
+// queue wait (from its own Submit to Start) and the engine call it
+// waited on (Start to End) without the batcher timing anything.
+type Ran struct{ Start, End time.Time }
 
 // NewBatcher builds a batcher over q (a pnn.Index, pnn.DynamicIndex,
 // or engine.Engine); onFlush, when non-nil, observes each batch size.
@@ -88,39 +85,24 @@ func NewBatcher(q engine.Querier, onFlush func(size int)) *Batcher {
 	return &Batcher{q: q, onFlush: onFlush, cores: runtime.GOMAXPROCS(0)}
 }
 
-// SetStageObserver wires latency decomposition: onQueue sees each
-// request's wait between Submit and flush start, onExec each flushed
-// batch's engine time. Call before the batcher serves its first Submit
-// (the fields are read without a lock on the hot path).
-func (b *Batcher) SetStageObserver(onQueue, onExec func(time.Duration)) {
-	b.onQueue = onQueue
-	b.onExec = onExec
-}
-
 // Submit enqueues one request and blocks until its batch is answered,
 // ctx is cancelled, or the batcher is closed. The result is exactly
 // what a sequential call of the request's method on the underlying
 // pnn.Index would return (per-request failures come back in
-// OpResult.Err).
-func (b *Batcher) Submit(ctx context.Context, req pnn.Request) (pnn.OpResult, error) {
+// OpResult.Err); Ran is the engine interval of the batch that answered
+// it, valid whenever the error is nil.
+func (b *Batcher) Submit(ctx context.Context, req pnn.Request) (pnn.OpResult, Ran, error) {
 	if err := ctx.Err(); err != nil {
-		return pnn.OpResult{}, err
+		return pnn.OpResult{}, Ran{}, err
 	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return pnn.OpResult{}, ErrBatcherClosed
+		return pnn.OpResult{}, Ran{}, ErrBatcherClosed
 	}
 	// Buffered so a flush never blocks on a caller that gave up.
-	ch := make(chan pnn.OpResult, 1)
-	pr := pendingReq{req: req, ch: ch}
-	if b.onQueue != nil {
-		pr.enq = time.Now()
-	}
-	if span := obs.LeafSpan(ctx, "queue"); span != nil {
-		pr.ctx, pr.span = ctx, span
-	}
-	b.pending = append(b.pending, pr)
+	ch := make(chan reply, 1)
+	b.pending = append(b.pending, pendingReq{req: req, ch: ch})
 	if b.running < b.cores {
 		batch := b.takeLocked()
 		b.running += len(batch)
@@ -129,10 +111,10 @@ func (b *Batcher) Submit(ctx context.Context, req pnn.Request) (pnn.OpResult, er
 	}
 	b.mu.Unlock()
 	select {
-	case res := <-ch:
-		return res, nil
+	case r := <-ch:
+		return r.res, r.ran, nil
 	case <-ctx.Done():
-		return pnn.OpResult{}, ctx.Err()
+		return pnn.OpResult{}, Ran{}, ctx.Err()
 	}
 }
 
@@ -186,50 +168,29 @@ var reqScratch = sync.Pool{New: func() any {
 	return &s
 }}
 
-// run answers one batch and delivers per-request results. The batch
-// context is Background on purpose: a coalesced batch serves many
-// callers, so no single caller's cancellation may abort it.
+// run answers one batch and delivers per-request results, each with
+// the batch's engine interval. The batch context is Background on
+// purpose: a coalesced batch serves many callers, so no single
+// caller's cancellation may abort it.
 func (b *Batcher) run(batch []pendingReq) {
 	rp := reqScratch.Get().(*[]pnn.Request)
 	reqs := (*rp)[:0]
 	for _, p := range batch {
 		reqs = append(reqs, p.req)
 	}
-	if b.onQueue != nil {
-		now := time.Now()
-		for _, p := range batch {
-			b.onQueue(now.Sub(p.enq))
-		}
-	}
-	// Each traced submitter's queue-wait span ends at flush start, and
-	// its execute span covers the shared engine call — the same interval
-	// appears in every batchmate's trace, which is the truth: they all
-	// waited on it.
-	for i := range batch {
-		if batch[i].span != nil {
-			batch[i].span.End()
-			batch[i].span = obs.LeafSpan(batch[i].ctx, "execute")
-		}
-	}
-	start := time.Time{}
-	if b.onExec != nil {
-		start = time.Now()
-	}
+	ran := Ran{Start: time.Now()}
 	res, err := b.q.QueryBatchOps(context.Background(), reqs, batchWorkers)
-	if b.onExec != nil {
-		b.onExec(time.Since(start))
-	}
-	for i := range batch {
-		batch[i].span.End()
-	}
+	ran.End = time.Now()
 	*rp = reqs[:0]
 	reqScratch.Put(rp)
 	for i, p := range batch {
+		r := reply{ran: ran}
 		if err != nil {
-			p.ch <- pnn.OpResult{Err: err}
-			continue
+			r.res.Err = err
+		} else {
+			r.res = res[i]
 		}
-		p.ch <- res[i]
+		p.ch <- r
 	}
 	if b.onFlush != nil {
 		b.onFlush(len(batch))

@@ -153,7 +153,7 @@ func (f *flushLog) get() []int {
 func submitAsync(b *Batcher, req pnn.Request) <-chan error {
 	done := make(chan error, 1)
 	go func() {
-		res, err := b.Submit(context.Background(), req)
+		res, _, err := b.Submit(context.Background(), req)
 		if err == nil {
 			err = res.Err
 		}
@@ -228,6 +228,64 @@ func TestBatcherNaturalBatching(t *testing.T) {
 	}
 }
 
+// TestBatcherRan: every request of one batch gets the same engine
+// interval, which starts after the request was submitted and ends
+// after it starts; a later batch's interval starts after an earlier
+// one ends on a one-core batcher.
+func TestBatcherRan(t *testing.T) {
+	g := newGatedEngine(engine.NewStatic(testIndex(t, 10)))
+	b := NewBatcher(g, nil)
+	b.cores = 1
+	defer b.Close()
+	defer g.open()
+
+	type outcome struct {
+		submitted time.Time
+		ran       Ran
+		err       error
+	}
+	submit := func(x float64) <-chan outcome {
+		done := make(chan outcome, 1)
+		go func() {
+			o := outcome{submitted: time.Now()}
+			_, o.ran, o.err = b.Submit(context.Background(), nonzeroAt(x))
+			done <- o
+		}()
+		return done
+	}
+	first := submit(0)
+	g.waitCall(t)
+	queued := []<-chan outcome{submit(1), submit(2), submit(3)}
+	waitDepth(t, b, 3)
+	g.open()
+	a := <-first
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.ran.Start.Before(a.submitted) || a.ran.End.Before(a.ran.Start) {
+		t.Errorf("first: submitted %v, ran %v–%v", a.submitted, a.ran.Start, a.ran.End)
+	}
+	var mates []Ran
+	for _, done := range queued {
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.ran.Start.Before(o.submitted) || o.ran.End.Before(o.ran.Start) {
+			t.Errorf("queued: submitted %v, ran %v–%v", o.submitted, o.ran.Start, o.ran.End)
+		}
+		mates = append(mates, o.ran)
+	}
+	for _, r := range mates[1:] {
+		if r != mates[0] {
+			t.Errorf("batchmates got different intervals: %v vs %v", r, mates[0])
+		}
+	}
+	if mates[0].Start.Before(a.ran.End) {
+		t.Errorf("second batch started %v before the first ended %v", mates[0].Start, a.ran.End)
+	}
+}
+
 // TestBatcherQueuedRequestsCoalesce queues n concurrent submitters
 // behind a gated request on a one-core batcher: they run as one batch,
 // and every caller gets exactly the sequential answer.
@@ -254,7 +312,7 @@ func TestBatcherQueuedRequestsCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := b.Submit(context.Background(), pnn.Request{Q: qs[i], Op: pnn.OpProbabilities})
+			res, _, err := b.Submit(context.Background(), pnn.Request{Q: qs[i], Op: pnn.OpProbabilities})
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -307,7 +365,7 @@ func TestBatcherMaxBatchSplits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := b.Submit(context.Background(), pnn.Request{Q: qs[i], Op: pnn.OpNonzero})
+			res, _, err := b.Submit(context.Background(), pnn.Request{Q: qs[i], Op: pnn.OpNonzero})
 			if err != nil {
 				t.Errorf("submit %d: %v", i, err)
 				return
@@ -378,7 +436,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
+	if _, _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
 		t.Fatalf("submit during close: want ErrBatcherClosed, got %v", err)
 	}
 	select {
@@ -396,7 +454,7 @@ func TestBatcherCloseMidFlight(t *testing.T) {
 	if got := fl.get(); !slices.Equal(got, []int{1, n - 1}) {
 		t.Errorf("flush sizes %v, want [1 %d]", got, n-1)
 	}
-	if _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
+	if _, _, err := b.Submit(context.Background(), nonzeroAt(0)); !errors.Is(err, ErrBatcherClosed) {
 		t.Errorf("submit after close: want ErrBatcherClosed, got %v", err)
 	}
 	b.Close() // idempotent
@@ -415,7 +473,7 @@ func TestBatcherConcurrentSubmitAndClose(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := pnn.Pt(float64(i%10)*5, float64(i%7)*5)
-			res, err := b.Submit(context.Background(), pnn.Request{Q: q, Op: pnn.OpNonzero})
+			res, _, err := b.Submit(context.Background(), pnn.Request{Q: q, Op: pnn.OpNonzero})
 			if err != nil {
 				if !errors.Is(err, ErrBatcherClosed) {
 					t.Errorf("submit %d: %v", i, err)
@@ -445,7 +503,7 @@ func TestBatcherSubmitCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Submit(ctx, nonzeroAt(0)); !errors.Is(err, context.Canceled) {
+	if _, _, err := b.Submit(ctx, nonzeroAt(0)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: want context.Canceled, got %v", err)
 	}
 
@@ -453,7 +511,7 @@ func TestBatcherSubmitCancelled(t *testing.T) {
 	g.waitEntered(t)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel2()
-	if _, err := b.Submit(ctx2, nonzeroAt(1)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := b.Submit(ctx2, nonzeroAt(1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled while queued: want DeadlineExceeded, got %v", err)
 	}
 	g.open()
@@ -485,7 +543,7 @@ func TestBatcherNoLostWakeup(t *testing.T) {
 							time.Sleep(time.Duration(r.Intn(50)) * time.Microsecond)
 						}
 						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-						_, err := b.Submit(ctx, nonzeroAt(float64(i%10)))
+						_, _, err := b.Submit(ctx, nonzeroAt(float64(i%10)))
 						cancel()
 						if err != nil {
 							t.Errorf("goroutine %d submit %d: %v (lost wakeup?)", g, i, err)

@@ -29,8 +29,10 @@ type Metrics struct {
 	// same by dataset (only datasets the registry resolves, so the
 	// label cardinality is bounded by hosted datasets, not client
 	// input); stages decomposes the answer core (cache probe, batcher
-	// queue wait, engine build, engine execute, JSON encode); batchSizes
-	// the sizes of the batches the batchers ran.
+	// queue wait, engine build, engine execute, JSON encode), fed by
+	// obs.Stage together with the stage spans — execute once per
+	// request, the engine time of the batch that answered it;
+	// batchSizes the sizes of the batches the batchers ran.
 	reqLatency *obs.HistogramVec // pnn_request_duration_seconds{endpoint=}
 	dsLatency  *obs.HistogramVec // pnn_dataset_duration_seconds{dataset=}
 	stages     *obs.HistogramVec // pnn_stage_duration_seconds{stage=}

@@ -65,9 +65,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestRequestIDEcho: a request without an ID gets one minted and
-// echoed; a supplied ID is preserved; error bodies carry it.
-func TestRequestIDEcho(t *testing.T) {
+// TestTraceIDEcho: a request without a traceparent gets a valid one
+// minted and echoed; a supplied trace ID is echoed; error bodies carry
+// it as trace_id and in the deprecated request_id alias.
+func TestTraceIDEcho(t *testing.T) {
 	reg, _ := testRegistry(t)
 	srv := New(reg, Config{})
 	defer srv.Close()
@@ -75,30 +76,25 @@ func TestRequestIDEcho(t *testing.T) {
 	defer hs.Close()
 
 	_, h, _ := getBody(t, hs, "/v1/nonzero?dataset=fleet&x=1&y=2")
-	minted := h.Get(api.RequestIDHeader)
-	if len(minted) != 16 {
-		t.Fatalf("minted request id %q, want 16 hex chars", minted)
+	if _, _, ok := obs.ParseTraceParent(h.Get(api.TraceParentHeader)); !ok {
+		t.Fatalf("minted traceparent %q is not valid", h.Get(api.TraceParentHeader))
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/nonzero?dataset=ghost&x=1&y=2", nil)
-	req.Header.Set(api.RequestIDHeader, "deadbeef00000001")
-	resp, err := hs.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get(api.RequestIDHeader); got != "deadbeef00000001" {
-		t.Errorf("supplied request id not echoed: got %q", got)
+	const traceID = "deadbeef00000001deadbeef00000001"
+	status, h, raw := tracedDo(t, hs, http.MethodGet, "/v1/nonzero?dataset=ghost&x=1&y=2",
+		obs.FormatTraceParent(traceID, "00000000000000aa", false), nil, "")
+	if got, _, _ := obs.ParseTraceParent(h.Get(api.TraceParentHeader)); got != traceID {
+		t.Errorf("supplied trace id not echoed: traceparent %q", h.Get(api.TraceParentHeader))
 	}
 	var e api.Error
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+	if err := json.Unmarshal(raw, &e); err != nil {
 		t.Fatal(err)
 	}
-	if e.RequestID != "deadbeef00000001" {
-		t.Errorf("error body request_id = %q, want the supplied id", e.RequestID)
+	if e.TraceID != traceID || e.RequestID != traceID {
+		t.Errorf("error body trace_id/request_id = %q/%q, want the supplied trace id in both", e.TraceID, e.RequestID)
 	}
-	if e.Code != api.CodeUnknownDataset {
-		t.Errorf("code = %q", e.Code)
+	if status != http.StatusNotFound || e.Code != api.CodeUnknownDataset {
+		t.Errorf("status %d code %q, want 404 unknown_dataset", status, e.Code)
 	}
 }
 
@@ -130,9 +126,11 @@ func TestErrorAccounting(t *testing.T) {
 	if bresp.Results[1].Error == nil || bresp.Results[2].Error == nil {
 		t.Fatalf("expected item errors, got %+v", bresp.Results)
 	}
-	// Batch item errors carry the batch request's ID.
-	if id := bresp.Results[1].Error.RequestID; len(id) != 16 {
-		t.Errorf("batch item error request_id = %q, want minted id", id)
+	// Batch item errors carry the batch request's trace ID, also in the
+	// deprecated request_id alias.
+	traceID, _, _ := obs.ParseTraceParent(resp.Header.Get(api.TraceParentHeader))
+	if e := bresp.Results[1].Error; len(traceID) != 32 || e.TraceID != traceID || e.RequestID != traceID {
+		t.Errorf("batch item error trace_id/request_id = %q/%q, want the batch's trace id %q", e.TraceID, e.RequestID, traceID)
 	}
 
 	// Admin failure: no store configured → read_only.
@@ -187,7 +185,7 @@ func TestDebugObs(t *testing.T) {
 }
 
 // TestRequestLogging checks the request-scoped structured log: one
-// line per request carrying the request ID, endpoint, dataset, status,
+// line per request carrying the trace ID, endpoint, dataset, status,
 // and duration — and the slow-query promotion to Warn.
 func TestRequestLogging(t *testing.T) {
 	reg, _ := testRegistry(t)
@@ -199,18 +197,16 @@ func TestRequestLogging(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/nonzero?dataset=fleet&x=1&y=2", nil)
-	req.Header.Set(api.RequestIDHeader, "feedface00000002")
-	if _, err := hs.Client().Do(req); err != nil {
-		t.Fatal(err)
-	}
+	const traceID = "feedface00000002feedface00000002"
+	tracedDo(t, hs, http.MethodGet, "/v1/nonzero?dataset=fleet&x=1&y=2",
+		obs.FormatTraceParent(traceID, "00000000000000bb", false), nil, "")
 	var line struct {
-		Level     string  `json:"level"`
-		RequestID string  `json:"request_id"`
-		Endpoint  string  `json:"endpoint"`
-		Dataset   string  `json:"dataset"`
-		Status    int     `json:"status"`
-		Duration  float64 `json:"duration"`
+		Level    string  `json:"level"`
+		TraceID  string  `json:"trace_id"`
+		Endpoint string  `json:"endpoint"`
+		Dataset  string  `json:"dataset"`
+		Status   int     `json:"status"`
+		Duration float64 `json:"duration"`
 	}
 	dec := json.NewDecoder(strings.NewReader(buf.String()))
 	found := false
@@ -218,13 +214,16 @@ func TestRequestLogging(t *testing.T) {
 		if err := dec.Decode(&line); err != nil {
 			t.Fatalf("decoding log line: %v\n%s", err, buf.String())
 		}
-		if line.RequestID == "feedface00000002" {
+		if line.TraceID == traceID {
 			found = true
 			break
 		}
 	}
 	if !found {
-		t.Fatalf("no log line with the request id:\n%s", buf.String())
+		t.Fatalf("no log line with the trace id:\n%s", buf.String())
+	}
+	if strings.Contains(buf.String(), "request_id") {
+		t.Errorf("log lines still carry a request_id:\n%s", buf.String())
 	}
 	if line.Endpoint != "nonzero" || line.Dataset != "fleet" || line.Status != 200 {
 		t.Errorf("log line = %+v", line)

@@ -53,7 +53,7 @@ type Config struct {
 	// endpoints are disabled (403) even with a store — the admin
 	// surface is authenticated by design, never open by omission.
 	AdminToken string
-	// Logger receives one structured log line per request (request ID,
+	// Logger receives one structured log line per request (trace ID,
 	// endpoint, dataset, status, duration) at Debug — promoted to Warn
 	// at or beyond SlowQueryThreshold. Nil discards.
 	Logger *slog.Logger
@@ -71,8 +71,9 @@ type Config struct {
 	TraceSampleRate float64
 	// TraceBuffer is the capacity of the in-memory trace ring served at
 	// /debug/traces; 0 means the default (obs.DefaultTraceBuffer),
-	// < 0 disables tracing entirely (IDs still mint and propagate for
-	// log and error correlation).
+	// < 0 disables tracing entirely (trace IDs still mint and propagate
+	// for log and error correlation, and /debug/traces serves an empty
+	// list).
 	TraceBuffer int
 }
 
@@ -188,7 +189,7 @@ func New(reg *Registry, cfg Config) *Server {
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/debug/obs", s.handleDebugObs)
-	mux.HandleFunc("/debug/traces", s.handleDebugTraces)
+	mux.Handle("/debug/traces", s.tracer)
 	mux.HandleFunc("/v1/datasets", s.handleDatasets)
 	for _, name := range api.Ops {
 		op, err := opFromString(name)
@@ -222,7 +223,7 @@ func New(reg *Registry, cfg Config) *Server {
 		})
 	}
 	// The instrument middleware sits outside the timeout wrapper, so the
-	// request ID lands on the real ResponseWriter (TimeoutHandler drops
+	// traceparent lands on the real ResponseWriter (TimeoutHandler drops
 	// inner headers on timeout) and timed-out requests are still counted
 	// and logged with their true duration.
 	s.handler = s.instrument(inner)
@@ -327,7 +328,7 @@ type queryError struct {
 // for the next query while this one finishes on it — so an answer may
 // reflect a write committed after the query began, but never loses one.
 func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, cacheStatus string, qerr *queryError) {
-	total := obs.StartTimer()
+	start := time.Now()
 	ds := s.reg.Get(p.dataset)
 	if ds == nil {
 		return nil, "", &queryError{http.StatusNotFound, api.CodeUnknownDataset,
@@ -336,25 +337,21 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 	// Per-dataset latency is observed only for names the registry
 	// resolves, so the label cardinality is bounded by hosted datasets,
 	// never by client-chosen strings.
-	defer func() { s.metrics.dsLatency.With(p.dataset).ObserveDuration(total.Total()) }()
+	defer func() { s.metrics.dsLatency.With(p.dataset).ObserveDuration(time.Since(start)) }()
 	n, version := ds.Stats()
 	if n == 0 {
 		return nil, "", &queryError{http.StatusConflict, api.CodeEmptyDataset,
 			fmt.Errorf("dataset %q has no points yet", p.dataset)}
 	}
 	cacheKey := p.cacheKey(op, version)
-	span := obs.LeafSpan(ctx, "cache")
-	probe := obs.StartTimer()
+	probe := time.Now()
 	body, ok := s.cache.Get(cacheKey)
-	s.metrics.stages.With("cache").ObserveDuration(probe.Total())
 	if ok {
-		span.SetAttr("cache", "hit")
-		span.End()
+		obs.Stage(ctx, "cache", s.metrics.stages.With("cache"), probe, time.Now(), "cache", "hit")
 		s.metrics.cacheHits.Inc()
 		return body, "hit", nil
 	}
-	span.SetAttr("cache", "miss")
-	span.End()
+	obs.Stage(ctx, "cache", s.metrics.stages.With("cache"), probe, time.Now(), "cache", "miss")
 	s.metrics.cacheMisses.Inc()
 	if s.closed.Load() {
 		// The cache may outlive Close and keep answering hits, but
@@ -367,18 +364,24 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 	if err != nil {
 		return nil, "", failure(err)
 	}
-	res, err := entry.batcher.Submit(ctx, p.request(op))
-	if err == nil {
-		err = res.Err
-	}
+	// Queue wait runs from Submit to the start of the batch's engine
+	// call; execute is that call, shared by every batchmate — the same
+	// interval in each one's trace and histogram, which is the truth:
+	// they all waited on it.
+	queued := time.Now()
+	res, ran, err := entry.batcher.Submit(ctx, p.request(op))
 	if err != nil {
 		return nil, "", failure(err)
 	}
-	encSpan := obs.LeafSpan(ctx, "encode")
-	enc := obs.StartTimer()
+	wait := obs.Stage(ctx, "queue", s.metrics.stages.With("queue"), queued, ran.Start)
+	s.metrics.queueWait.With(ds.Name).ObserveDuration(wait)
+	obs.Stage(ctx, "execute", s.metrics.stages.With("execute"), ran.Start, ran.End)
+	if res.Err != nil {
+		return nil, "", failure(res.Err)
+	}
+	enc := time.Now()
 	body, err = json.Marshal(p.response(op, ds, entry.eng, res))
-	s.metrics.stages.With("encode").ObserveDuration(enc.Total())
-	encSpan.End()
+	obs.Stage(ctx, "encode", s.metrics.stages.With("encode"), enc, time.Now())
 	if err != nil {
 		return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
 	}
@@ -432,13 +435,12 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 	s.metrics.indexBuilds.Inc()
 	// The build runs under the entry's once, so only the first request
 	// for this engine pays it — and only that request's trace carries
-	// the build span.
-	span := obs.LeafSpan(ctx, "build")
-	span.SetAttr("dataset", ds.Name)
-	span.SetAttr("backend", key.Backend)
-	defer span.End()
-	build := obs.StartTimer()
-	defer func() { s.metrics.stages.With("build").ObserveDuration(build.Total()) }()
+	// the build stage.
+	start := time.Now()
+	defer func() {
+		obs.Stage(ctx, "build", s.metrics.stages.With("build"), start, time.Now(),
+			"dataset", ds.Name, "backend", key.Backend)
+	}()
 	switch {
 	case ds.st != nil && key.absorbsDeltas():
 		info, ids, pts, err := ds.st.PointsView(ds.Name)
@@ -471,18 +473,6 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		e.eng = engine.NewStatic(ix)
 	}
 	e.batcher = NewBatcher(e.eng, s.metrics.flush)
-	// The entry is still private to this build, so wiring the stage
-	// observer here is race-free. Queue wait feeds both the aggregate
-	// stage histogram and the per-dataset contention one.
-	stageQueue := s.metrics.stages.With("queue")
-	dsQueue := s.metrics.queueWait.With(ds.Name)
-	e.batcher.SetStageObserver(
-		func(d time.Duration) {
-			stageQueue.ObserveDuration(d)
-			dsQueue.ObserveDuration(d)
-		},
-		s.metrics.stages.With("execute").ObserveDuration,
-	)
 	return nil
 }
 
@@ -748,19 +738,18 @@ const maxPooledEncBuf = 1 << 16
 
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	s.metrics.errors.Inc(code)
-	// The request and trace IDs travel in the request context, not the
-	// response header: under TimeoutHandler the inner handlers see a
-	// fresh header map, so the headers set by the instrument middleware
-	// are invisible here even though they do reach the client. r may be
-	// nil on paths with no request in hand (writeJSON's encode-failure
-	// fallback).
-	var reqID, traceID string
+	// The trace ID travels in the request context, not the response
+	// header: under TimeoutHandler the inner handlers see a fresh header
+	// map, so the header set by the instrument middleware is invisible
+	// here even though it does reach the client. r may be nil on paths
+	// with no request in hand (writeJSON's encode-failure fallback).
+	// RequestID, the deprecated alias, carries the same value.
+	var traceID string
 	if r != nil {
-		reqID = obs.RequestID(r.Context())
 		traceID = obs.TraceID(r.Context())
 	}
 	body, _ := json.Marshal(api.Error{Error: err.Error(), Code: code,
-		RequestID: reqID, TraceID: traceID})
+		RequestID: traceID, TraceID: traceID})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(body, '\n'))

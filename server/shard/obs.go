@@ -4,44 +4,11 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
+	"time"
 
 	"pnn/api"
 	"pnn/internal/obs"
 )
-
-// endpointOf maps a request path onto a bounded endpoint label: the op
-// name for single-query paths, the section name for everything else.
-// Labels come from the route table, never raw client input, so metric
-// cardinality cannot be inflated by path scans.
-func endpointOf(path string) string {
-	switch path {
-	case "/healthz":
-		return "healthz"
-	case "/metrics":
-		return "metrics"
-	case "/debug/obs", "/debug/traces":
-		return "debug"
-	case api.BatchPath:
-		return "batch"
-	case "/v1/datasets":
-		return "datasets"
-	}
-	if strings.HasPrefix(path, "/v1/datasets/") {
-		return "admin"
-	}
-	if strings.HasPrefix(path, "/debug/pprof") {
-		return "debug"
-	}
-	if op, ok := strings.CutPrefix(path, "/v1/"); ok {
-		for _, name := range api.Ops {
-			if op == name {
-				return name
-			}
-		}
-	}
-	return "other"
-}
 
 // apiEndpoint reports whether an endpoint label is client API traffic —
 // what the scalar pnn_router_requests_total counts. Health checks,
@@ -65,26 +32,19 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// instrument is the router's edge middleware: it assigns the request
-// ID (minting one unless the client supplied it), joins or starts the
-// distributed trace from the traceparent header, echoes both on the
-// response before any handler writes, counts and times the request per
-// endpoint, and emits one structured log line per request — Debug
-// normally, Warn at or beyond the slow-query threshold. The same IDs
-// are forwarded to every backend the request touches (see attempt), so
-// one client request correlates across the whole fleet's logs and
-// traces.
+// instrument is the router's edge middleware: it joins the
+// distributed trace from the client's traceparent header or starts
+// one, echoes the traceparent on the response before any handler
+// writes, counts and times the request per endpoint, and emits one
+// structured log line per request — Debug normally, Warn at or beyond
+// the slow-query threshold. The trace is forwarded to every backend
+// the request touches (see attempt), so its trace ID — the only
+// correlation ID — names one client request across the whole fleet's
+// logs, error bodies and traces.
 func (rt *Router) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get(api.RequestIDHeader)
-		if id == "" {
-			id = obs.NewRequestID()
-		}
-		w.Header().Set(api.RequestIDHeader, id)
-
-		endpoint := endpointOf(r.URL.Path)
-		ctx, root := obs.StartTrace(obs.WithRequestID(r.Context(), id),
-			rt.tracer, endpoint, r.Header.Get(api.TraceParentHeader))
+		endpoint := api.Endpoint(r.URL.Path)
+		ctx, root := obs.StartTrace(r.Context(), rt.tracer, endpoint, r.Header.Get(api.TraceParentHeader))
 		w.Header().Set(api.TraceParentHeader, obs.TraceParent(ctx))
 		root.SetAttr("dataset", r.URL.Query().Get("dataset"))
 		r = r.WithContext(ctx)
@@ -93,9 +53,9 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 			rt.metrics.requests.Inc()
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t := obs.StartTimer()
+		start := time.Now()
 		next.ServeHTTP(sw, r)
-		d := t.Total()
+		d := time.Since(start)
 		rt.metrics.reqLatency.With(endpoint).ObserveDuration(d)
 		root.SetAttr("status", strconv.Itoa(sw.status))
 		root.End()
@@ -107,7 +67,6 @@ func (rt *Router) instrument(next http.Handler) http.Handler {
 			msg = "slow request"
 		}
 		rt.logger.Log(ctx, level, msg,
-			"request_id", id,
 			"trace_id", obs.TraceID(ctx),
 			"endpoint", endpoint,
 			"dataset", r.URL.Query().Get("dataset"),
@@ -125,16 +84,4 @@ func (rt *Router) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 	rs := obs.ReadRuntimeStats()
 	snap.Runtime = &rs
 	rt.writeJSON(w, http.StatusOK, snap)
-}
-
-// handleDebugTraces serves GET /debug/traces: the tracer's in-memory
-// ring of kept traces (sampled plus every slow one), newest first.
-func (rt *Router) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	traces := rt.tracer.Snapshot()
-	if traces == nil {
-		traces = []obs.TraceData{}
-	}
-	rt.writeJSON(w, http.StatusOK, struct {
-		Traces []obs.TraceData `json:"traces"`
-	}{traces})
 }

@@ -72,10 +72,12 @@ func TestRouterExposition(t *testing.T) {
 	}
 }
 
-// TestRouterRequestIDPropagation is the end-to-end tracing contract:
-// one ID supplied by the client is echoed on the router response,
-// logged by the router, forwarded to the backend, and logged there —
-// and a backend error body proxied through the router still carries it.
+// TestRouterRequestIDPropagation is the end-to-end correlation
+// contract, now on the trace ID (the only correlation ID): one trace
+// ID supplied by the client is echoed on the router response, logged
+// by the router, forwarded to the backend, and logged there — and
+// backend error bodies proxied through the router and router-minted
+// ones carry it as trace_id and in the deprecated request_id alias.
 func TestRouterRequestIDPropagation(t *testing.T) {
 	var routerBuf, backendBuf bytes.Buffer
 	routerLog := slog.New(slog.NewJSONHandler(&lockedWriter{w: &routerBuf}, &slog.HandlerOptions{Level: slog.LevelDebug}))
@@ -96,29 +98,30 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 	router := httptest.NewServer(rt.Handler())
 	defer router.Close()
 
-	const id = "cafef00d00000042"
+	const id = "cafef00d00000042cafef00d00000042"
+	parent := obs.FormatTraceParent(id, "00000000000000cc", false)
 	req, _ := http.NewRequest(http.MethodGet, router.URL+"/v1/nonzero?dataset=ds0&x=1&y=2", nil)
-	req.Header.Set(api.RequestIDHeader, id)
+	req.Header.Set(api.TraceParentHeader, parent)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(api.RequestIDHeader); got != id {
-		t.Errorf("router response request id = %q, want %q", got, id)
+	if got, _, _ := obs.ParseTraceParent(resp.Header.Get(api.TraceParentHeader)); got != id {
+		t.Errorf("router response trace id = %q, want %q", got, id)
 	}
-	if !strings.Contains(routerBuf.String(), id) {
-		t.Errorf("router log has no line with the request id:\n%s", routerBuf.String())
+	if !strings.Contains(routerBuf.String(), `"trace_id":"`+id+`"`) {
+		t.Errorf("router log has no line with the trace id:\n%s", routerBuf.String())
 	}
-	if !strings.Contains(backendBuf.String(), id) {
-		t.Errorf("backend log has no line with the request id (not forwarded?):\n%s", backendBuf.String())
+	if !strings.Contains(backendBuf.String(), `"trace_id":"`+id+`"`) {
+		t.Errorf("backend log has no line with the trace id (not forwarded?):\n%s", backendBuf.String())
 	}
 
 	// A backend-minted error proxied through the router keeps the ID in
-	// its body: the backend read it from the forwarded header.
+	// its body: the backend read it from the forwarded traceparent.
 	req, _ = http.NewRequest(http.MethodGet, router.URL+"/v1/nonzero?dataset=ghost&x=1&y=2", nil)
-	req.Header.Set(api.RequestIDHeader, id)
+	req.Header.Set(api.TraceParentHeader, parent)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +131,8 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if e.RequestID != id {
-		t.Errorf("proxied error body request_id = %q, want %q", e.RequestID, id)
+	if e.TraceID != id || e.RequestID != id {
+		t.Errorf("proxied error body trace_id/request_id = %q/%q, want %q", e.TraceID, e.RequestID, id)
 	}
 
 	// A router-minted error (dead fleet) carries the ID too.
@@ -139,17 +142,18 @@ func TestRouterRequestIDPropagation(t *testing.T) {
 	deadSrv := httptest.NewServer(dead.Handler())
 	defer deadSrv.Close()
 	req, _ = http.NewRequest(http.MethodGet, deadSrv.URL+"/v1/nonzero?dataset=ds0&x=1&y=2", nil)
-	req.Header.Set(api.RequestIDHeader, id)
+	req.Header.Set(api.TraceParentHeader, parent)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e = api.Error{}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if e.Code != api.CodeNoBackend || e.RequestID != id {
-		t.Errorf("router-minted error = %+v, want no_backend with request_id %q", e, id)
+	if e.Code != api.CodeNoBackend || e.TraceID != id || e.RequestID != id {
+		t.Errorf("router-minted error = %+v, want no_backend with trace_id and request_id %q", e, id)
 	}
 	if rt.Metrics().Snapshot().ErrorsByCode[api.CodeNoBackend] != 0 {
 		t.Error("healthy router counted a no_backend error")

@@ -169,12 +169,12 @@ func (rt *Router) sendSubBatch(ctx context.Context, target *backend, items []api
 
 // itemError shapes one router-minted per-item error, counting it by
 // code (backend-minted item errors are counted by the backend) and
-// stamping the batch envelope's request and trace IDs.
+// stamping the batch envelope's trace ID, also in the deprecated
+// RequestID alias.
 func (rt *Router) itemError(ctx context.Context, code, msg string) api.BatchResult {
 	rt.metrics.errors.Inc(code)
-	return api.BatchResult{Error: &api.Error{
-		Error: msg, Code: code, RequestID: obs.RequestID(ctx), TraceID: obs.TraceID(ctx),
-	}}
+	id := obs.TraceID(ctx)
+	return api.BatchResult{Error: &api.Error{Error: msg, Code: code, RequestID: id, TraceID: id}}
 }
 
 // fillError records one error on every item of a group.

@@ -72,7 +72,7 @@ type Config struct {
 	// means http.DefaultClient.
 	Client *http.Client
 	// Logger receives one structured log line per routed request
-	// (request ID, endpoint, dataset, backend, status, duration) at
+	// (trace ID, endpoint, dataset, status, duration) at
 	// Debug — promoted to Warn at or beyond SlowQueryThreshold — plus
 	// backend mark-down/mark-up transitions. Nil discards.
 	Logger *slog.Logger
@@ -88,8 +88,9 @@ type Config struct {
 	// header, so a sampled routed request is traced end to end.
 	TraceSampleRate float64
 	// TraceBuffer is the capacity of the /debug/traces ring; 0 means
-	// the default (obs.DefaultTraceBuffer), < 0 disables tracing (IDs
-	// still mint and propagate for log and error correlation).
+	// the default (obs.DefaultTraceBuffer), < 0 disables tracing (trace
+	// IDs still mint and propagate for log and error correlation, and
+	// /debug/traces serves an empty list).
 	TraceBuffer int
 }
 
@@ -174,7 +175,7 @@ func New(cfg Config) (*Router, error) {
 	mux.HandleFunc("/healthz", rt.handleHealth)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	mux.HandleFunc("/debug/obs", rt.handleDebugObs)
-	mux.HandleFunc("/debug/traces", rt.handleDebugTraces)
+	mux.Handle("/debug/traces", rt.tracer)
 	mux.HandleFunc("/v1/datasets", rt.handleDatasets)
 	for _, op := range api.Ops {
 		mux.HandleFunc(api.QueryPath(op), rt.handleQuery)
@@ -327,16 +328,12 @@ func (rt *Router) attempt(ctx context.Context, b *backend, method, pathAndQuery 
 	if auth != "" {
 		req.Header.Set("Authorization", auth)
 	}
-	// Forward the request ID so one client request correlates across
-	// the router's and every touched backend's log lines and error
-	// bodies (scatter-gathered sub-batches included — they share the
-	// envelope's ctx).
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(api.RequestIDHeader, id)
-	}
-	// Forward the traceparent too — minted at the proxy span, so the
+	// Forward the traceparent — minted at the proxy span, so the
 	// backend joins the router's trace (inheriting its sampling
-	// decision) and its span tree nests under this very attempt.
+	// decision), its span tree nests under this very attempt, and its
+	// log lines and error bodies carry the router's trace ID
+	// (scatter-gathered sub-batches included — they share the
+	// envelope's ctx).
 	span := obs.LeafSpan(ctx, "proxy")
 	span.SetAttr("backend", b.base)
 	defer span.End()
@@ -623,16 +620,16 @@ func (rt *Router) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // writeError answers one router-originated error, counted by wire code
-// and stamped with the request and trace IDs from r's context (r may
-// be nil on paths with no request in hand).
+// and stamped with the trace ID from r's context, also in the
+// deprecated RequestID alias (r may be nil on paths with no request in
+// hand).
 func (rt *Router) writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
 	rt.metrics.errors.Inc(code)
-	var reqID, traceID string
+	var traceID string
 	if r != nil {
-		reqID = obs.RequestID(r.Context())
 		traceID = obs.TraceID(r.Context())
 	}
-	body, _ := json.Marshal(api.Error{Error: err.Error(), Code: code, RequestID: reqID, TraceID: traceID})
+	body, _ := json.Marshal(api.Error{Error: err.Error(), Code: code, RequestID: traceID, TraceID: traceID})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(body, '\n'))

@@ -19,7 +19,12 @@ import (
 
 func fetchTraces(t *testing.T, base string) []obs.TraceData {
 	t.Helper()
-	resp, err := http.Get(base + "/debug/traces")
+	return fetchTracesAt(t, base+"/debug/traces")
+}
+
+func fetchTracesAt(t *testing.T, url string) []obs.TraceData {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +145,57 @@ func TestRoutedQueryTraceEndToEnd(t *testing.T) {
 	if !found {
 		t.Errorf("no router log line with trace_id %s:\n%s", traceID, routerBuf.String())
 	}
+}
+
+// TestRouterDebugTracesByID is the one-ID lookup: the trace ID on a
+// routed response's traceparent selects exactly that request's trace
+// at /debug/traces?id= on the router and on the backend it reached,
+// and the backend tree nests under the router's proxy span.
+func TestRouterDebugTracesByID(t *testing.T) {
+	reg := server.NewRegistry()
+	for name, set := range testSets(t) {
+		if err := reg.Add(name, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := server.New(reg, server.Config{})
+	defer srv.Close()
+	backend := httptest.NewServer(srv.Handler())
+	defer backend.Close()
+	rt := newRouter(t, Config{Backends: []string{backend.URL}, ProbeInterval: -1, TraceSampleRate: 1})
+	router := httptest.NewServer(rt.Handler())
+	defer router.Close()
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		resp, err := http.Get(router.URL + "/v1/topk?dataset=ds0&x=1&y=2&k=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		id, _, ok := obs.ParseTraceParent(resp.Header.Get(api.TraceParentHeader))
+		if !ok || resp.StatusCode != http.StatusOK {
+			t.Fatalf("routed query %d: %d, traceparent %q", i, resp.StatusCode, resp.Header.Get(api.TraceParentHeader))
+		}
+		ids = append(ids, id)
+	}
+	if n := len(fetchTraces(t, router.URL)); n != 3 {
+		t.Fatalf("router keeps %d traces, want 3", n)
+	}
+	rtTraces := fetchTracesAt(t, router.URL+"/debug/traces?id="+ids[1])
+	if len(rtTraces) != 1 || rtTraces[0].TraceID != ids[1] {
+		t.Fatalf("router ?id=%s served %d traces, want exactly that one", ids[1], len(rtTraces))
+	}
+	beTraces := fetchTracesAt(t, backend.URL+"/debug/traces?id="+ids[1])
+	if len(beTraces) != 1 || beTraces[0].TraceID != ids[1] {
+		t.Fatalf("backend ?id=%s served %d traces, want exactly that one", ids[1], len(beTraces))
+	}
+	proxy := spanNamed(t, rtTraces[0], "proxy")
+	if root := spanNamed(t, beTraces[0], "topk"); root.ParentID != proxy.SpanID {
+		t.Errorf("backend root parent = %q, want the router's proxy span %q", root.ParentID, proxy.SpanID)
+	}
+	spanNamed(t, beTraces[0], "cache")
 }
 
 // TestClientAPIErrorTraceID: a failed request through the router hands

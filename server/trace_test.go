@@ -223,3 +223,58 @@ func TestQueueDepthGauge(t *testing.T) {
 		t.Errorf("/metrics missing %q:\n%s", want, body)
 	}
 }
+
+// TestDebugTraces: /debug/traces serves every kept trace newest first,
+// only the named trace with ?id= (none for an ID the ring does not
+// hold), and an empty list when tracing is disabled (TraceBuffer < 0).
+func TestDebugTraces(t *testing.T) {
+	reg, _ := testRegistry(t)
+	srv := New(reg, Config{TraceSampleRate: 1})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	var ids []string
+	for i := 0; i < 3; i++ {
+		_, h, _ := getBody(t, hs, fmt.Sprintf("/v1/nonzero?dataset=fleet&x=%d&y=2", i))
+		id, _, ok := obs.ParseTraceParent(h.Get(api.TraceParentHeader))
+		if !ok {
+			t.Fatalf("request %d: no valid traceparent", i)
+		}
+		ids = append(ids, id)
+	}
+	all := fetchTraces(t, hs)
+	if len(all) != 3 || all[0].TraceID != ids[2] || all[1].TraceID != ids[1] || all[2].TraceID != ids[0] {
+		t.Fatalf("/debug/traces = %d traces, want the 3 requests newest first", len(all))
+	}
+
+	byID := func(id string) []obs.TraceData {
+		t.Helper()
+		status, _, body := getBody(t, hs, "/debug/traces?id="+id)
+		var page struct {
+			Traces []obs.TraceData `json:"traces"`
+		}
+		if err := json.Unmarshal(body, &page); status != http.StatusOK || err != nil || page.Traces == nil {
+			t.Fatalf("?id=%s: %d %v\n%s", id, status, err, body)
+		}
+		return page.Traces
+	}
+	if one := byID(ids[1]); len(one) != 1 || one[0].TraceID != ids[1] {
+		t.Fatalf("?id=%s served %d traces, want exactly that one", ids[1], len(one))
+	} else {
+		spanNamed(t, one[0], "execute")
+	}
+	if none := byID(obs.NewTraceID()); len(none) != 0 {
+		t.Fatalf("?id= of an unknown trace served %d traces, want none", len(none))
+	}
+
+	off := New(reg, Config{TraceBuffer: -1})
+	defer off.Close()
+	hsOff := httptest.NewServer(off.Handler())
+	defer hsOff.Close()
+	getBody(t, hsOff, "/v1/nonzero?dataset=fleet&x=1&y=2")
+	status, h, body := getBody(t, hsOff, "/debug/traces")
+	if status != http.StatusOK || h.Get("Content-Type") != "application/json" || string(body) != "{\"traces\":[]}\n" {
+		t.Errorf("disabled tracing: %d %q %q, want 200 application/json {\"traces\":[]}", status, h.Get("Content-Type"), body)
+	}
+}
