@@ -116,6 +116,21 @@ type OpResult struct {
 // GOMAXPROCS. On cancellation partial results are discarded and
 // ctx.Err() is returned.
 func (ix *Index) QueryBatchOps(ctx context.Context, reqs []Request, workers int) ([]OpResult, error) {
+	return queryBatchOps(ctx, ix, reqs, workers)
+}
+
+// opEngine is the query surface Index and DynamicIndex share: the
+// methods behind the five batch ops.
+type opEngine interface {
+	Nonzero(Point) ([]int, error)
+	Probabilities(Point) ([]float64, error)
+	TopK(Point, int) ([]IndexProb, error)
+	Threshold(Point, float64) (ThresholdResult, error)
+	ExpectedNN(Point) (int, float64, error)
+}
+
+// queryBatchOps is QueryBatchOps over either engine.
+func queryBatchOps(ctx context.Context, e opEngine, reqs []Request, workers int) ([]OpResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -123,30 +138,27 @@ func (ix *Index) QueryBatchOps(ctx context.Context, reqs []Request, workers int)
 		return nil, nil
 	}
 	res := make([]OpResult, len(reqs))
-	runPool(ctx, len(reqs), workers, func(i int) { res[i] = ix.applyOp(reqs[i]) })
+	runPool(ctx, len(reqs), workers, func(i int) {
+		r, out := reqs[i], &res[i]
+		switch r.Op {
+		case OpNonzero:
+			out.Nonzero, out.Err = e.Nonzero(r.Q)
+		case OpProbabilities:
+			out.Probabilities, out.Err = e.Probabilities(r.Q)
+		case OpTopK:
+			out.Ranked, out.Err = e.TopK(r.Q, r.K)
+		case OpThreshold:
+			out.Threshold, out.Err = e.Threshold(r.Q, r.Tau)
+		case OpExpectedNN:
+			out.ExpectedIndex, out.ExpectedDist, out.Err = e.ExpectedNN(r.Q)
+		default:
+			out.Err = fmt.Errorf("pnn: unknown batch op %d: %w", r.Op, ErrUnsupported)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-func (ix *Index) applyOp(r Request) OpResult {
-	var out OpResult
-	switch r.Op {
-	case OpNonzero:
-		out.Nonzero, out.Err = ix.Nonzero(r.Q)
-	case OpProbabilities:
-		out.Probabilities, out.Err = ix.Probabilities(r.Q)
-	case OpTopK:
-		out.Ranked, out.Err = ix.TopK(r.Q, r.K)
-	case OpThreshold:
-		out.Threshold, out.Err = ix.Threshold(r.Q, r.Tau)
-	case OpExpectedNN:
-		out.ExpectedIndex, out.ExpectedDist, out.Err = ix.ExpectedNN(r.Q)
-	default:
-		out.Err = fmt.Errorf("pnn: unknown batch op %d: %w", r.Op, ErrUnsupported)
-	}
-	return out
 }
 
 // runPool fans fn(i) for i in [0, n) over a bounded worker pool,

@@ -60,7 +60,7 @@ var (
 	storeDir    = flag.String("store", "", "durable store directory (WAL + snapshots); empty = read-only datasets")
 	adminToken  = flag.String("admin-token", "", "bearer token for the mutation endpoints (empty disables them)")
 	logLevel    = flag.String("log-level", "info", "structured log level: debug logs every request, info only slow ones (off disables)")
-	slowQuery   = flag.Duration("slow-query", time.Second, "log requests at least this slow at Warn (0 disables)")
+	slowQuery   = flag.Duration("slow-query", time.Second, "log requests at least this slow at Warn and keep their traces; while armed every request records its spans (0 disables both; -trace-buffer 0 stops all recording)")
 	pprofFlag   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default: it leaks stacks and heap contents)")
 	traceSample = flag.Float64("trace-sample", 0, "fraction of requests whose spans are kept at /debug/traces (0 keeps only slow traces, 1 keeps all)")
 	traceBuffer = flag.Int("trace-buffer", 256, "traces retained in the /debug/traces ring (0 disables tracing)")

@@ -1,9 +1,11 @@
 package pnn
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -12,7 +14,6 @@ import (
 	"pnn/internal/dist"
 	"pnn/internal/geom"
 	"pnn/internal/linf"
-	"pnn/internal/logmethod"
 	"pnn/internal/nnq"
 )
 
@@ -26,10 +27,11 @@ type PointID uint64
 // DynamicIndex is the dynamized query engine: the same query surface as
 // Index over a point set that supports online inserts and deletes. It
 // wraps the paper's static structures with the Bentley–Saxe logarithmic
-// method (internal/logmethod): points live in O(log n) static buckets
-// that merge on overflow, so an insert costs amortized O(log n)
-// rebuild work; deletes are tombstones with a rebuild-at-threshold that
-// compacts the decomposition once tombstones reach the live count.
+// method: points live in O(log n) static buckets, at most one per level
+// ℓ holding at most 2^ℓ points, that merge on overflow, so an insert
+// costs amortized O(log n) rebuild work. A delete flags the point's
+// arena slot dead; once the dead slots reach the live count the whole
+// decomposition is compacted into one fresh bucket.
 //
 // NN≠0 queries union per-bucket candidates — each bucket's static
 // structure reports its members under the globally merged distance
@@ -55,16 +57,22 @@ type DynamicIndex struct {
 	cfg  config
 	kind dynKind
 
-	// items is the point arena; slots are assigned in insertion order
-	// and compacted (renumbered) when garbage exceeds the live count.
-	items   []dynItem
-	tracker *logmethod.Tracker
+	// items is the point arena in insertion order. Ids are issued in
+	// that order and compaction keeps it, so ids strictly increase
+	// along the arena and slotOf binary-searches it.
+	items []dynItem
+	// levels is the logarithmic decomposition: levels[ℓ] is nil or one
+	// bucket of at most 2^ℓ arena slots. Every live slot sits in exactly
+	// one bucket.
+	levels []*bucket
 	// liveSlots holds the live arena slots in increasing order — which
 	// is insertion order, so liveSlots[rank] is the point a static
 	// Index over the survivors would call rank.
 	liveSlots []int
-	idToSlot  map[PointID]int
 	nextID    PointID
+	// rebuilt counts the members passed through bucket builds since
+	// construction, compactions included.
+	rebuilt uint64
 
 	// liveDists holds the discrete survivors' validated distributions in
 	// rank order, parallel to liveSlots. It is nil until the first view
@@ -82,10 +90,6 @@ type DynamicIndex struct {
 	viewDirty bool
 	// viewRebuilds counts the views viewIndex has built.
 	viewRebuilds uint64
-
-	// rebuiltBase accumulates the rebuild-work counters of trackers
-	// retired by compact, so Stats reports a lifetime total.
-	rebuiltBase uint64
 }
 
 type dynKind int
@@ -101,14 +105,18 @@ const (
 // geometry (only the fields of the index's kind are set). A discrete
 // point keeps only the distribution InsertDiscrete validated; it is
 // immutable, so views share it instead of validating the point again.
+// The fields a locate reads come first.
 type dynItem struct {
-	id    PointID
-	disk  DiskPoint
-	sq    SquarePoint
+	id PointID
+	// dead marks a deleted point. Its slot stays in the arena, and in
+	// its bucket, until a merge or a compaction drops it.
+	dead  bool
 	gdisk geom.Disk
 	gdisc core.DiscretePoint
-	dd    *dist.Discrete
 	gsq   linf.Square
+	dd    *dist.Discrete
+	disk  DiskPoint
+	sq    SquarePoint
 }
 
 // NewDynamic builds an empty dynamic engine. The point kind (disks,
@@ -125,12 +133,7 @@ func NewDynamic(opts ...Option) (*DynamicIndex, error) {
 	if cfg.backend == BackendDiagram {
 		return nil, fmt.Errorf("pnn: BackendDiagram is unsupported for DynamicIndex (a diagram cannot report under a merged bound): %w", ErrUnsupported)
 	}
-	return &DynamicIndex{
-		cfg:      cfg,
-		tracker:  logmethod.New(),
-		idToSlot: make(map[PointID]int),
-		nextID:   1,
-	}, nil
+	return &DynamicIndex{cfg: cfg, nextID: 1}, nil
 }
 
 // setKind fixes the point kind on first insert and validates the
@@ -195,129 +198,142 @@ func (d *DynamicIndex) insert(it dynItem, k dynKind) (PointID, error) {
 		return 0, err
 	}
 	it.id = d.nextID
+	d.nextID++
 	slot := len(d.items)
 	d.items = append(d.items, it)
-	if err := d.tracker.Insert(slot, d.buildBucket); err != nil {
-		d.items = d.items[:slot]
-		return 0, err
-	}
-	d.nextID++
-	d.idToSlot[it.id] = slot
 	d.liveSlots = append(d.liveSlots, slot)
 	if d.liveDists != nil {
 		d.liveDists = append(d.liveDists, it.dd)
 	}
 	d.viewDirty = true
-	d.maybeCompact()
+	// The Bentley–Saxe cascade: while the new bucket's level is taken,
+	// merge it with the occupant and move up to the merged size's level.
+	cur := []int{slot}
+	for lvl := 0; lvl < len(d.levels) && d.levels[lvl] != nil; lvl = levelFor(len(cur)) {
+		cur = d.mergeLive(cur, d.levels[lvl])
+		d.levels[lvl] = nil
+	}
+	d.place(cur)
 	return it.id, nil
 }
 
-// Delete removes the point with the given id. Tombstoning is O(log n);
-// once tombstones (plus merged-away garbage) reach the live count the
-// whole decomposition is compacted into one fresh bucket.
+// Delete removes the point with the given id by flagging its arena
+// slot dead. Once the dead slots reach the live count the whole
+// decomposition is compacted into one fresh bucket, so the arena stays
+// within twice the survivors and as many deletes pay for each
+// compaction.
 func (d *DynamicIndex) Delete(id PointID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	slot, ok := d.idToSlot[id]
+	slot, ok := d.slotOf(id)
 	if !ok {
 		return fmt.Errorf("pnn: unknown point id %d", id)
 	}
-	need, err := d.tracker.Delete(slot)
-	if err != nil {
-		return err
-	}
-	delete(d.idToSlot, id)
-	if i, found := slices.BinarySearch(d.liveSlots, slot); found {
-		d.liveSlots = slices.Delete(d.liveSlots, i, i+1)
-		switch {
-		case d.liveShared:
-			// Keep the capacity so the inserts that follow append in place.
-			fresh := make([]*dist.Discrete, 0, cap(d.liveDists))
-			d.liveDists = append(append(fresh, d.liveDists[:i]...), d.liveDists[i+1:]...)
-			d.liveShared = false
-		case d.liveDists != nil:
-			d.liveDists = slices.Delete(d.liveDists, i, i+1)
-		}
+	d.items[slot].dead = true
+	i, _ := slices.BinarySearch(d.liveSlots, slot)
+	d.liveSlots = slices.Delete(d.liveSlots, i, i+1)
+	switch {
+	case d.liveShared:
+		// Keep the capacity so the inserts that follow append in place.
+		fresh := make([]*dist.Discrete, 0, cap(d.liveDists))
+		d.liveDists = append(append(fresh, d.liveDists[:i]...), d.liveDists[i+1:]...)
+		d.liveShared = false
+	case d.liveDists != nil:
+		d.liveDists = slices.Delete(d.liveDists, i, i+1)
 	}
 	d.viewDirty = true
-	if need {
+	for lvl, b := range d.levels {
+		if b == nil {
+			continue
+		}
+		if _, in := slices.BinarySearch(b.slots, slot); in {
+			// A fully dead bucket answers nothing; drop it so no locate
+			// scans it.
+			if b.dead++; b.dead == len(b.slots) {
+				d.levels[lvl] = nil
+			}
+			break
+		}
+	}
+	if len(d.items)-len(d.liveSlots) >= len(d.liveSlots) {
 		d.compact()
-	} else {
-		d.maybeCompact()
 	}
 	return nil
 }
 
-// maybeCompact compacts once the arena holds more garbage (tombstones
-// plus members merged away after their delete) than live points, so
-// memory stays O(live) under insert/delete churn.
-func (d *DynamicIndex) maybeCompact() {
-	if len(d.items) > 16 && len(d.items) > 2*len(d.liveSlots) {
-		d.compact()
-	}
+// slotOf returns the arena slot of the live point id.
+func (d *DynamicIndex) slotOf(id PointID) (int, bool) {
+	s, found := sort.Find(len(d.items), func(i int) int { return cmp.Compare(id, d.items[i].id) })
+	return s, found && !d.items[s].dead
 }
 
-// compact renumbers the arena down to the survivors (preserving
-// insertion order) and bulk-loads them as a single fresh bucket.
+// compact drops the dead slots from the arena, keeping insertion order,
+// and rebuilds the survivors as one bucket.
 func (d *DynamicIndex) compact() {
-	live := make([]dynItem, 0, len(d.liveSlots))
-	for _, s := range d.liveSlots {
-		live = append(live, d.items[s])
+	live := make([]dynItem, len(d.liveSlots))
+	for i, s := range d.liveSlots {
+		live[i] = d.items[s]
+		d.liveSlots[i] = i
 	}
 	d.items = live
-	d.rebuiltBase += d.tracker.Rebuilt()
-	d.tracker = logmethod.New()
-	d.idToSlot = make(map[PointID]int, len(live))
-	d.liveSlots = d.liveSlots[:0]
-	slots := make([]int, len(live))
-	for i := range live {
-		slots[i] = i
-		d.idToSlot[live[i].id] = i
-		d.liveSlots = append(d.liveSlots, i)
-	}
-	if err := d.tracker.Bulk(slots, d.buildBucket); err != nil {
-		// Unreachable: the tracker is fresh and slots are 0..n-1.
-		panic(err)
+	d.levels = nil
+	if len(live) > 0 {
+		// A copy: deletes shift liveSlots in place.
+		d.place(slices.Clone(d.liveSlots))
 	}
 }
 
-// buildBucket constructs one bucket's static structure over the given
-// arena slots (the logmethod Build callback).
-func (d *DynamicIndex) buildBucket(slots []int) any {
-	switch d.kind {
-	case dynContinuous:
-		disks := make([]geom.Disk, len(slots))
-		for i, s := range slots {
-			disks[i] = d.items[s].gdisk
+// mergeLive returns cur together with b's live members in increasing
+// slot order; b's dead members leave the decomposition.
+func (d *DynamicIndex) mergeLive(cur []int, b *bucket) []int {
+	out := make([]int, 0, len(cur)+len(b.slots)-b.dead)
+	for _, s := range b.slots {
+		if !d.items[s].dead {
+			out = append(out, s)
 		}
-		b := &contBucket{disks: disks}
-		if d.cfg.backend == BackendIndex {
+	}
+	out = append(out, cur...)
+	slices.Sort(out)
+	return out
+}
+
+// place builds one bucket over slots (increasing, all live) at the
+// level their count needs, which the caller has left free.
+func (d *DynamicIndex) place(slots []int) {
+	lvl := levelFor(len(slots))
+	for len(d.levels) <= lvl {
+		d.levels = append(d.levels, nil)
+	}
+	d.rebuilt += uint64(len(slots))
+	b := &bucket{slots: slots}
+	if d.cfg.backend == BackendIndex {
+		switch d.kind {
+		case dynContinuous:
+			disks := make([]geom.Disk, len(slots))
+			for i, s := range slots {
+				disks[i] = d.items[s].gdisk
+			}
 			b.nn = nnq.NewContinuous(disks)
-		}
-		return b
-	case dynDiscrete:
-		pts := make([]core.DiscretePoint, len(slots))
-		for i, s := range slots {
-			pts[i] = d.items[s].gdisc
-		}
-		b := &discBucket{pts: pts}
-		if d.cfg.backend == BackendIndex {
+		case dynDiscrete:
+			pts := make([]core.DiscretePoint, len(slots))
+			for i, s := range slots {
+				pts[i] = d.items[s].gdisc
+			}
 			b.nn = nnq.NewDiscrete(pts)
-		}
-		return b
-	case dynSquare:
-		sqs := make([]linf.Square, len(slots))
-		for i, s := range slots {
-			sqs[i] = d.items[s].gsq
-		}
-		b := &sqBucket{sqs: sqs}
-		if d.cfg.backend == BackendIndex {
+		case dynSquare:
+			sqs := make([]linf.Square, len(slots))
+			for i, s := range slots {
+				sqs[i] = d.items[s].gsq
+			}
 			b.nn = linf.Build(sqs)
 		}
-		return b
 	}
-	panic("pnn: bucket build before kind is set")
+	d.levels[lvl] = b
 }
+
+// levelFor returns the smallest level ℓ whose capacity 2^ℓ holds n ≥ 1
+// members.
+func levelFor(n int) int { return bits.Len(uint(n - 1)) }
 
 // Len returns the number of live points.
 func (d *DynamicIndex) Len() int {
@@ -343,14 +359,11 @@ func (d *DynamicIndex) IDs() []PointID {
 func (d *DynamicIndex) RankOf(id PointID) (int, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	slot, ok := d.idToSlot[id]
+	slot, ok := d.slotOf(id)
 	if !ok {
 		return -1, false
 	}
-	r, found := slices.BinarySearch(d.liveSlots, slot)
-	if !found {
-		return -1, false
-	}
+	r, _ := slices.BinarySearch(d.liveSlots, slot)
 	return r, true
 }
 
@@ -391,7 +404,7 @@ func (d *DynamicIndex) Nonzero(q Point) ([]int, error) {
 	if len(d.liveSlots) == 0 {
 		return []int{}, nil
 	}
-	return d.nonzeroLocked(q, nil), nil
+	return d.nonzeroLocked(q, []int{}), nil
 }
 
 // NonzeroInto is Nonzero appending into buf (reused from its start,
@@ -415,23 +428,18 @@ func (d *DynamicIndex) nonzeroLocked(q Point, dst []int) []int {
 	// Stage 1, merged: the live minimum of Δ over all buckets.
 	min1 := math.Inf(1)
 	argSlot := -1
-	for _, b := range d.tracker.Buckets() {
-		eng := b.Data.(dynBucket)
-		local, v := eng.delta(gq, func(l int) bool { return d.tracker.Alive(b.Slots[l]) })
-		if local >= 0 && v < min1 {
-			min1 = v
-			argSlot = b.Slots[local]
+	for _, b := range d.levels {
+		if b == nil {
+			continue
+		}
+		if s, v := d.delta(b, gq); v < min1 {
+			min1, argSlot = v, s
 		}
 	}
-	// Stage 2, per bucket: report δ < Δ(q), filter tombstones.
-	var cand, scratch []int
-	for _, b := range d.tracker.Buckets() {
-		eng := b.Data.(dynBucket)
-		scratch = eng.report(gq, min1, scratch[:0])
-		for _, l := range scratch {
-			if s := b.Slots[l]; d.tracker.Alive(s) {
-				cand = append(cand, s)
-			}
+	// Stage 2, per bucket: report the live slots with δ < Δ(q).
+	for _, b := range d.levels {
+		if b != nil {
+			dst = d.report(b, gq, min1, dst)
 		}
 	}
 	// Degenerate arg-min path (δ_arg = Δ, e.g. zero-radius regions):
@@ -448,15 +456,11 @@ func (d *DynamicIndex) nonzeroLocked(q Point, dst []int) []int {
 			}
 		}
 		if d.minDist(argSlot, gq) < second {
-			cand = append(cand, argSlot)
+			dst = append(dst, argSlot)
 		}
 	}
-	if dst == nil {
-		dst = make([]int, 0, len(cand))
-	}
-	for _, s := range cand {
-		r, _ := slices.BinarySearch(d.liveSlots, s)
-		dst = append(dst, r)
+	for i, s := range dst {
+		dst[i], _ = slices.BinarySearch(d.liveSlots, s)
 	}
 	sort.Ints(dst)
 	return dst
@@ -643,37 +647,7 @@ func (d *DynamicIndex) Eps() float64 {
 // concurrently with mutations answers each request against some
 // then-current state, never a torn one.
 func (d *DynamicIndex) QueryBatchOps(ctx context.Context, reqs []Request, workers int) ([]OpResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	res := make([]OpResult, len(reqs))
-	runPool(ctx, len(reqs), workers, func(i int) { res[i] = d.applyOp(reqs[i]) })
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-func (d *DynamicIndex) applyOp(r Request) OpResult {
-	var out OpResult
-	switch r.Op {
-	case OpNonzero:
-		out.Nonzero, out.Err = d.Nonzero(r.Q)
-	case OpProbabilities:
-		out.Probabilities, out.Err = d.Probabilities(r.Q)
-	case OpTopK:
-		out.Ranked, out.Err = d.TopK(r.Q, r.K)
-	case OpThreshold:
-		out.Threshold, out.Err = d.Threshold(r.Q, r.Tau)
-	case OpExpectedNN:
-		out.ExpectedIndex, out.ExpectedDist, out.Err = d.ExpectedNN(r.Q)
-	default:
-		out.Err = fmt.Errorf("pnn: unknown batch op %d: %w", r.Op, ErrUnsupported)
-	}
-	return out
+	return queryBatchOps(ctx, d, reqs, workers)
 }
 
 // DynamicStats reports the engine's amortized-cost counters: the live
@@ -696,125 +670,83 @@ type DynamicStats struct {
 func (d *DynamicIndex) Stats() DynamicStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return DynamicStats{
+	s := DynamicStats{
 		Live:           len(d.liveSlots),
 		Garbage:        len(d.items) - len(d.liveSlots),
-		Buckets:        len(d.tracker.Buckets()),
-		RebuiltMembers: d.rebuiltBase + d.tracker.Rebuilt(),
+		RebuiltMembers: d.rebuilt,
 		ViewRebuilds:   d.viewRebuilds,
 	}
+	for _, b := range d.levels {
+		if b != nil {
+			s.Buckets++
+		}
+	}
+	return s
 }
 
-// dynBucket is one bucket's static structure: stage-1 bound merging and
-// stage-2 bounded reporting over the bucket's members (local indices).
-type dynBucket interface {
-	// delta returns the live arg-min member of Δ and that minimum
-	// ((-1, +Inf) when no member is live — unreachable, the tracker
-	// drops fully dead buckets).
-	delta(q geom.Point, alive func(local int) bool) (local int, min1 float64)
-	// report appends every member with δ(q) < bound to dst, tombstones
-	// included (the caller filters); the appended region is unordered.
-	report(q geom.Point, bound float64, dst []int) []int
+// bucket is one static structure of the decomposition: its members'
+// arena slots in increasing order, how many of them are dead, and the
+// kind's NN≠0 structure over them as built (nil under BackendDirect,
+// whose locates scan the arena). Dead members stay until the next
+// merge or compaction.
+type bucket struct {
+	slots []int
+	dead  int
+	nn    reporter
 }
 
-type contBucket struct {
-	disks []geom.Disk
-	nn    *nnq.ContinuousIndex // nil under BackendDirect
+// reporter is the stage-2 report all three NN≠0 structures
+// (nnq.ContinuousIndex, nnq.DiscreteIndex, linf.Index) share.
+type reporter interface {
+	ReportMinDistLess(q geom.Point, bound float64, dst []int) []int
 }
 
-func (b *contBucket) delta(q geom.Point, alive func(int) bool) (int, float64) {
-	if b.nn != nil {
-		// The structure's minimum is over all members; it equals the
-		// live minimum whenever the arg-min is live. A dead arg-min
-		// falls back to the scan below.
-		if arg, v := b.nn.Nearest(q); arg >= 0 && alive(arg) {
-			return arg, v
+// nearester is the stage-1 answer the continuous and L∞ structures add.
+type nearester interface {
+	Nearest(q geom.Point) (int, float64)
+}
+
+// delta returns b's live arg-min slot of Δ and that minimum; a bucket
+// always holds a live member.
+func (d *DynamicIndex) delta(b *bucket, q geom.Point) (int, float64) {
+	// The structure's minimum is over all members; it is the live
+	// minimum whenever its arg-min is live, and a dead arg-min falls
+	// back to the scan below.
+	if nn, ok := b.nn.(nearester); ok {
+		if l, v := nn.Nearest(q); l >= 0 && !d.items[b.slots[l]].dead {
+			return b.slots[l], v
 		}
 	}
 	arg, best := -1, math.Inf(1)
-	for i, dk := range b.disks {
-		if alive(i) {
-			if v := dk.MaxDist(q); v < best {
-				arg, best = i, v
+	for _, s := range b.slots {
+		if !d.items[s].dead {
+			if v := d.maxDist(s, q); v < best {
+				arg, best = s, v
 			}
 		}
 	}
 	return arg, best
 }
 
-func (b *contBucket) report(q geom.Point, bound float64, dst []int) []int {
-	if b.nn != nil {
-		return b.nn.ReportMinDistLess(q, bound, dst)
-	}
-	for i, dk := range b.disks {
-		if dk.MinDist(q) < bound {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-type discBucket struct {
-	pts []core.DiscretePoint
-	nn  *nnq.DiscreteIndex // nil under BackendDirect
-}
-
-func (b *discBucket) delta(q geom.Point, alive func(int) bool) (int, float64) {
-	// Stage 1 of the static structure is a linear hull scan too
-	// (Theorem 3.2 pays O(n) there); scan live members directly.
-	arg, best := -1, math.Inf(1)
-	for i, p := range b.pts {
-		if alive(i) {
-			if v := p.MaxDist(q); v < best {
-				arg, best = i, v
+// report appends b's live slots with δ(q) < bound to dst, unordered.
+func (d *DynamicIndex) report(b *bucket, q geom.Point, bound float64, dst []int) []int {
+	n := len(dst)
+	if b.nn == nil {
+		for _, s := range b.slots {
+			if !d.items[s].dead && d.minDist(s, q) < bound {
+				dst = append(dst, s)
 			}
 		}
+		return dst
 	}
-	return arg, best
-}
-
-func (b *discBucket) report(q geom.Point, bound float64, dst []int) []int {
-	if b.nn != nil {
-		return b.nn.ReportMinDistLess(q, bound, dst)
-	}
-	for i, p := range b.pts {
-		if p.MinDist(q) < bound {
-			dst = append(dst, i)
+	// The structure reports member positions; map them to slots in
+	// place, dropping the dead.
+	dst = b.nn.ReportMinDistLess(q, bound, dst)
+	kept := dst[:n]
+	for _, l := range dst[n:] {
+		if s := b.slots[l]; !d.items[s].dead {
+			kept = append(kept, s)
 		}
 	}
-	return dst
-}
-
-type sqBucket struct {
-	sqs []linf.Square
-	nn  *linf.Index // nil under BackendDirect
-}
-
-func (b *sqBucket) delta(q geom.Point, alive func(int) bool) (int, float64) {
-	if b.nn != nil {
-		if arg, v := b.nn.Nearest(q); arg >= 0 && alive(arg) {
-			return arg, v
-		}
-	}
-	arg, best := -1, math.Inf(1)
-	for i, s := range b.sqs {
-		if alive(i) {
-			if v := s.MaxDist(q); v < best {
-				arg, best = i, v
-			}
-		}
-	}
-	return arg, best
-}
-
-func (b *sqBucket) report(q geom.Point, bound float64, dst []int) []int {
-	if b.nn != nil {
-		return b.nn.ReportMinDistLess(q, bound, dst)
-	}
-	for i, s := range b.sqs {
-		if s.MinDist(q) < bound {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+	return kept
 }

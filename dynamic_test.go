@@ -3,6 +3,7 @@ package pnn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -62,6 +63,7 @@ func (h *dynHarness) insertRandom(r *rand.Rand) {
 		h.liveSqs = append(h.liveSqs, p)
 		h.ids = append(h.ids, id)
 	}
+	checkDynInvariants(h.t, h.dyn)
 }
 
 // deleteRandom deletes a random live point and returns its id (0 when
@@ -70,7 +72,11 @@ func (h *dynHarness) deleteRandom(r *rand.Rand) PointID {
 	if len(h.ids) == 0 {
 		return 0
 	}
-	i := r.Intn(len(h.ids))
+	return h.deleteAt(r.Intn(len(h.ids)))
+}
+
+// deleteAt deletes the live point of rank i and returns its id.
+func (h *dynHarness) deleteAt(i int) PointID {
 	id := h.ids[i]
 	if err := h.dyn.Delete(id); err != nil {
 		h.t.Fatal(err)
@@ -84,7 +90,75 @@ func (h *dynHarness) deleteRandom(r *rand.Rand) PointID {
 	case "squares":
 		h.liveSqs = slices.Delete(h.liveSqs, i, i+1)
 	}
+	checkDynInvariants(h.t, h.dyn)
 	return id
+}
+
+// checkDynInvariants asserts the logarithmic decomposition's books. A
+// level holds at most one bucket by construction (levels is indexed by
+// level); beyond that: a level-ℓ bucket holds at most 2^ℓ slots in
+// strictly increasing order, no slot sits in two buckets and every live
+// slot in exactly one, each bucket's dead count equals its deleted
+// members and no bucket is fully dead, ids strictly increase along the
+// arena (slotOf binary-searches it), the dead slots stay below the live
+// count (the compaction rule), and the bucket count is logarithmic.
+func checkDynInvariants(t *testing.T, d *DynamicIndex) {
+	t.Helper()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	housed := make(map[int]bool)
+	buckets := 0
+	for lvl, b := range d.levels {
+		if b == nil {
+			continue
+		}
+		buckets++
+		if len(b.slots) > 1<<lvl {
+			t.Fatalf("level-%d bucket holds %d > %d slots", lvl, len(b.slots), 1<<lvl)
+		}
+		dead := 0
+		for i, s := range b.slots {
+			if i > 0 && b.slots[i-1] >= s {
+				t.Fatalf("level-%d bucket slots not strictly increasing: %v", lvl, b.slots)
+			}
+			if housed[s] {
+				t.Fatalf("slot %d sits in two buckets", s)
+			}
+			housed[s] = true
+			if d.items[s].dead {
+				dead++
+			}
+		}
+		if dead != b.dead {
+			t.Fatalf("level-%d bucket counts %d dead, holds %d", lvl, b.dead, dead)
+		}
+		if dead == len(b.slots) {
+			t.Fatalf("fully dead level-%d bucket retained", lvl)
+		}
+	}
+	live := 0
+	for i, it := range d.items {
+		if i > 0 && d.items[i-1].id >= it.id {
+			t.Fatalf("arena ids not strictly increasing at slot %d", i)
+		}
+		if !it.dead {
+			live++
+		}
+	}
+	if live != len(d.liveSlots) {
+		t.Fatalf("arena holds %d live slots, liveSlots %d", live, len(d.liveSlots))
+	}
+	for _, s := range d.liveSlots {
+		if d.items[s].dead || !housed[s] {
+			t.Fatalf("live slot %d dead (%v) or in no bucket", s, d.items[s].dead)
+		}
+	}
+	if garbage := len(d.items) - live; len(d.items) > 0 && garbage >= live {
+		t.Fatalf("%d dead slots for %d live (compaction missed)", garbage, live)
+	}
+	if limit := bits.Len(uint(len(d.items))) + 1; buckets > limit {
+		t.Fatalf("%d buckets for a %d-slot arena (limit %d)", buckets, len(d.items), limit)
+	}
 }
 
 func (h *dynHarness) liveLen() int { return len(h.ids) }
@@ -579,4 +653,73 @@ func TestDynamicViewRebuildCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDynamicDropsDeadBucket deletes a whole recent batch: the bucket
+// holding it leaves the decomposition at once, before any compaction,
+// so no locate scans it.
+func TestDynamicDropsDeadBucket(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	d, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &dynHarness{t: t, dyn: d, kind: "discrete"}
+	for i := 0; i < 64+8; i++ {
+		h.insertRandom(r)
+	}
+	if got := d.Stats().Buckets; got != 2 {
+		t.Fatalf("72 inserts: %d buckets, want 2 (levels 6 and 3)", got)
+	}
+	for i := 0; i < 8; i++ {
+		h.deleteAt(h.liveLen() - 1)
+	}
+	if s := d.Stats(); s.Buckets != 1 || s.Garbage != 8 {
+		t.Fatalf("after deleting the level-3 batch: %d buckets, %d garbage; want 1, 8", s.Buckets, s.Garbage)
+	}
+	for i := 0; i < 4; i++ {
+		h.compareAll(Pt(r.Float64()*40, r.Float64()*40), true)
+	}
+}
+
+// TestDynamicCompactsAtLiveCount pins the one compaction rule:
+// compaction fires on the delete that brings the dead slots up to the
+// live count, and ids and ranks survive the renumbering.
+func TestDynamicCompactsAtLiveCount(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	d, err := NewDynamic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &dynHarness{t: t, dyn: d, kind: "discrete"}
+	for i := 0; i < 20; i++ {
+		h.insertRandom(r)
+	}
+	var gone []PointID
+	for i := 0; i < 9; i++ {
+		gone = append(gone, h.deleteAt(0))
+	}
+	before := d.Stats()
+	if before.Garbage != 9 {
+		t.Fatalf("9 deletes of 20: garbage %d, want 9 (compacted early)", before.Garbage)
+	}
+	gone = append(gone, h.deleteAt(0))
+	after := d.Stats()
+	if after.Garbage != 0 || after.Buckets != 1 || after.RebuiltMembers != before.RebuiltMembers+10 {
+		t.Fatalf("10th delete: %+v after %+v; want garbage 0, 1 bucket, 10 members rebuilt", after, before)
+	}
+	for _, id := range gone {
+		if err := d.Delete(id); err == nil {
+			t.Fatalf("Delete of compacted-away id %d accepted", id)
+		}
+		if rank, ok := d.RankOf(id); ok {
+			t.Fatalf("RankOf of compacted-away id %d = %d", id, rank)
+		}
+	}
+	for want, id := range d.IDs() {
+		if got, ok := d.RankOf(id); !ok || got != want {
+			t.Fatalf("RankOf(%d) = (%d, %v), want (%d, true)", id, got, ok, want)
+		}
+	}
+	h.compareAll(Pt(20, 20), true)
 }

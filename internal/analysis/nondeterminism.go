@@ -9,8 +9,8 @@ import (
 // NonDeterminism guards the packages whose answers are proven bitwise
 // equal across execution strategies — the quantifiers
 // (internal/quantify), the NN≠0 structures (internal/nnq,
-// internal/linf), the Bentley–Saxe tracker (internal/logmethod), and
-// the DynamicIndex layer (dynamic.go in the root package). Those
+// internal/linf), and the Bentley–Saxe DynamicIndex layer (dynamic.go
+// in the root package). Those
 // proofs (sparse==dense, dynamic==static-rebuild) only hold if the
 // code is a pure function of its inputs and seeds: time.Now and the
 // process-global math/rand source (rand.Intn, rand.Float64, …) are
@@ -25,10 +25,9 @@ var NonDeterminism = &Analyzer{
 // deterministicPackages are the module-relative packages under the
 // determinism contract.
 var deterministicPackages = map[string]bool{
-	"internal/quantify":  true,
-	"internal/nnq":       true,
-	"internal/linf":      true,
-	"internal/logmethod": true,
+	"internal/quantify": true,
+	"internal/nnq":      true,
+	"internal/linf":     true,
 }
 
 // globalRandFuncs are the math/rand package functions backed by the

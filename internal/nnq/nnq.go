@@ -222,7 +222,7 @@ func (ix *ContinuousIndex) ReportMinDistLess(q geom.Point, bound float64, dst []
 
 // (DiscreteIndex needs no Nearest counterpart: its stage 1 is a linear
 // hull scan either way, so the dynamic layer scans its live members
-// directly — see discBucket.delta in the pnn package.)
+// directly — see DynamicIndex.delta in the pnn package.)
 
 // ReportMinDistLess appends to dst every owner with δ_i(q) < bound,
 // via the location kd-tree under the same fuzzed candidate radius as

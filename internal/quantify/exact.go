@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"pnn/internal/dist"
@@ -367,6 +368,31 @@ func PositiveInto(pi []float64, eps float64, dst []IndexProb) []IndexProb {
 		}
 	}
 	return dst
+}
+
+// TopK returns the k largest probabilities as (index, value) pairs in
+// decreasing order, breaking ties by index. It serves the top-k variants
+// the paper's Section 1.2 surveys (ranking by probability).
+func TopK(pi []float64, k int) []IndexProb {
+	if k <= 0 {
+		return nil
+	}
+	all := make([]IndexProb, 0, len(pi))
+	for i, p := range pi {
+		if p > 0 {
+			all = append(all, IndexProb{I: i, P: p})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].P != all[b].P {
+			return all[a].P > all[b].P
+		}
+		return all[a].I < all[b].I
+	})
+	if k > len(all) {
+		k = len(all)
+	}
+	return all[:k]
 }
 
 // IndexProb pairs an uncertain-point index with its probability.

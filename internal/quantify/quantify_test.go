@@ -400,3 +400,58 @@ func BenchmarkMonteCarloQuery(b *testing.B) {
 		mc.Estimate(geom.Pt(500, 500))
 	}
 }
+
+func TestSpiralQuadtreeBackendAgrees(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	pts := randomPts(r, 20, 4, 80, 5)
+	kd := NewSpiral(pts)
+	qt := NewSpiralQuadtree(pts)
+	for probe := 0; probe < 50; probe++ {
+		q := geom.Pt(r.Float64()*90-5, r.Float64()*90-5)
+		a := kd.Estimate(q, 0.05)
+		b := qt.Estimate(q, 0.05)
+		// Both retrieve the m nearest locations; ties at the m-th distance
+		// may differ, so compare against the one-sided bound rather than
+		// exact equality.
+		exact := ExactAll(pts, q)
+		for i := range exact {
+			for _, est := range [][]float64{a, b} {
+				if est[i] > exact[i]+1e-9 || exact[i] > est[i]+0.05+1e-9 {
+					t.Fatalf("backend bound violated at %v idx %d", q, i)
+				}
+			}
+		}
+	}
+}
+
+func TestTopK(t *testing.T) {
+	pi := []float64{0.1, 0, 0.5, 0.2, 0.2}
+	top := TopK(pi, 3)
+	if len(top) != 3 || top[0].I != 2 || top[1].I != 3 || top[2].I != 4 {
+		t.Fatalf("topk: %+v", top)
+	}
+	if got := TopK(pi, 100); len(got) != 4 {
+		t.Fatalf("k beyond positives: %+v", got)
+	}
+	if got := TopK(pi, 0); got != nil {
+		t.Fatalf("k=0: %+v", got)
+	}
+}
+
+func BenchmarkSpiralBackends(b *testing.B) {
+	r := rand.New(rand.NewSource(6))
+	pts := randomPts(r, 1000, 4, 1000, 4)
+	kd := NewSpiral(pts)
+	qt := NewSpiralQuadtree(pts)
+	q := geom.Pt(500, 500)
+	b.Run("kdtree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			kd.Estimate(q, 0.05)
+		}
+	})
+	b.Run("quadtree", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			qt.Estimate(q, 0.05)
+		}
+	})
+}

@@ -63,8 +63,3 @@ func (v *VPr) Query(q geom.Point) []float64 {
 	}
 	return ExactAll(v.pts, q)
 }
-
-// QueryPositive reports all points with π_i(q) > 0.
-func (v *VPr) QueryPositive(q geom.Point) []IndexProb {
-	return Positive(v.Query(q), 0)
-}

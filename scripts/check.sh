@@ -3,7 +3,8 @@
 # CI order: format, vet, pnnvet, build, tests under the coverage floor
 # (root module, then the benchmark module). `make check` wraps it;
 # CHECK_RACE=1 adds the CI race job: the full-matrix race pass plus a
-# 20-repeat race stress of the batcher tests.
+# 20-repeat race stress of the batcher tests and a 10-repeat one of the
+# dynamic layer's tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +43,8 @@ if [ "${CHECK_RACE:-0}" = "1" ]; then
   go test -race ./...
   echo "== race stress (batcher, 20 repeats)"
   go test -race -count=20 -run '^TestBatcher' ./server/
+  echo "== race stress (dynamic layer, 10 repeats)"
+  go test -race -count=10 -run '^TestDynamic' .
 fi
 
 echo "PASS: all checks"

@@ -61,7 +61,14 @@ type Config struct {
 	// the request takes at least this long; 0 means the default (1s),
 	// < 0 disables slow-query promotion. The tracer reuses it as the
 	// tail-capture threshold: every trace at least this slow is kept in
-	// the /debug/traces ring regardless of TraceSampleRate.
+	// the /debug/traces ring regardless of TraceSampleRate. Capture has
+	// a price: a request is known to be slow only at its end, so while
+	// the threshold is armed every request records its root and stage
+	// spans. A cache hit measured 73 allocs, 6,073 B and ~22.4 µs armed
+	// against 63 allocs, 4,937 B and ~17.5 µs without capture (an
+	// in-process loop of hits on a 20-point set, 2-core host). < 0 turns
+	// off both the promotion and the capture; TraceBuffer < 0 turns off
+	// recording altogether.
 	SlowQueryThreshold time.Duration
 	// TraceSampleRate is the fraction of requests whose spans are
 	// recorded and kept in the /debug/traces ring (0 keeps only slow
