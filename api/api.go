@@ -330,7 +330,8 @@ type DiskPointJSON struct {
 	X float64 `json:"x"`
 	Y float64 `json:"y"`
 	R float64 `json:"r"`
-	// Density is "uniform" (default) or "gaussian".
+	// Density is "uniform" (default) or "gaussian"; an insert with any
+	// other value answers 400 bad_param.
 	Density string  `json:"density,omitempty"`
 	Sigma   float64 `json:"sigma,omitempty"`
 }

@@ -47,11 +47,16 @@ type PointID uint64
 // window; Monte Carlo and spiral views redo their preprocessing over
 // all survivors.
 //
-// Supported options match New with two exceptions: BackendDiagram is
-// rejected (a diagram point-locates only its own static set and cannot
-// report under a merged bound), and WithRandSource is rejected (view
-// rebuilds must replay the same randomness; use WithSeed). All methods
-// are safe for concurrent use; queries run under a shared read lock.
+// Under BackendDiagram, NN≠0 queries answer through the live view too,
+// built as a nonzero Voronoi diagram over the survivors: a diagram
+// point-locates only its own static set and cannot report under a
+// merged bound, so the first NN≠0 query after a mutation pays the
+// diagram's rebuild.
+//
+// Supported options match New with one exception: WithRandSource is
+// rejected (view rebuilds must replay the same randomness; use
+// WithSeed). All methods are safe for concurrent use; queries run under
+// a shared read lock.
 type DynamicIndex struct {
 	mu   sync.RWMutex
 	cfg  config
@@ -85,7 +90,8 @@ type DynamicIndex struct {
 	liveShared bool
 
 	// view is the lazily rebuilt static engine answering quantification
-	// queries; nil until the first such query (or when empty).
+	// queries, and NN≠0 queries under BackendDiagram; nil until the
+	// first such query (or when empty).
 	view      *Index
 	viewDirty bool
 	// viewRebuilds counts the views viewIndex has built.
@@ -130,9 +136,6 @@ func NewDynamic(opts ...Option) (*DynamicIndex, error) {
 	if cfg.src != nil {
 		return nil, fmt.Errorf("pnn: WithRandSource is unsupported for DynamicIndex (view rebuilds must replay the same randomness; use WithSeed): %w", ErrUnsupported)
 	}
-	if cfg.backend == BackendDiagram {
-		return nil, fmt.Errorf("pnn: BackendDiagram is unsupported for DynamicIndex (a diagram cannot report under a merged bound): %w", ErrUnsupported)
-	}
 	return &DynamicIndex{cfg: cfg, nextID: 1}, nil
 }
 
@@ -151,6 +154,9 @@ func (d *DynamicIndex) setKind(k dynKind) error {
 	}
 	if d.cfg.metricSet && d.cfg.metric != def {
 		return fmt.Errorf("pnn: metric %v is incompatible with this point kind: %w", d.cfg.metric, ErrUnsupported)
+	}
+	if k == dynSquare && d.cfg.backend == BackendDiagram {
+		return fmt.Errorf("pnn: no diagram backend under L∞: %w", ErrUnsupported)
 	}
 	if k == dynSquare && d.cfg.quantSet {
 		return fmt.Errorf("pnn: no quantifier available under L∞: %w", ErrUnsupported)
@@ -397,8 +403,12 @@ func (d *DynamicIndex) maxDist(slot int, q geom.Point) float64 {
 // each bucket's structure reports its members with δ_i(q) below the
 // globally merged bound Δ(q) = min_j Δ_j(q), dead members are filtered,
 // and the arg-min point is re-judged against the second minimum on the
-// degenerate δ = Δ path, exactly as the static structures do.
+// degenerate δ = Δ path, exactly as the static structures do. Under
+// BackendDiagram the live view's diagram answers instead.
 func (d *DynamicIndex) Nonzero(q Point) ([]int, error) {
+	if d.cfg.backend == BackendDiagram {
+		return d.viewNonzero(q, []int{})
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if len(d.liveSlots) == 0 {
@@ -412,12 +422,30 @@ func (d *DynamicIndex) Nonzero(q Point) ([]int, error) {
 // Index.NonzeroInto. The returned slice shares buf's memory and is only
 // valid until the next NonzeroInto call with the same buffer.
 func (d *DynamicIndex) NonzeroInto(q Point, buf []int) ([]int, error) {
+	if d.cfg.backend == BackendDiagram {
+		return d.viewNonzero(q, buf[:0])
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if len(d.liveSlots) == 0 {
 		return buf[:0], nil
 	}
 	return d.nonzeroLocked(q, buf[:0]), nil
+}
+
+// viewNonzero answers NN≠0(q) from the live view's diagram, appending
+// to dst (empty); an empty index answers dst without building a view.
+// It must run without the lock: viewIndex takes the write lock to
+// rebuild.
+func (d *DynamicIndex) viewNonzero(q Point, dst []int) ([]int, error) {
+	v, err := d.viewIndex()
+	if err != nil {
+		return nil, err
+	}
+	if v == nil {
+		return dst, nil
+	}
+	return v.NonzeroInto(q, dst)
 }
 
 // nonzeroLocked appends the ranks of NN≠0(q) to dst (which must be
@@ -491,10 +519,14 @@ func (d *DynamicIndex) viewIndex() (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only a diagram view answers NN≠0 (Nonzero otherwise answers
+	// through the buckets); direct avoids building a second index.
+	backend := BackendDirect
+	if d.cfg.backend == BackendDiagram {
+		backend = BackendDiagram
+	}
 	opts := []Option{
-		// The view's own NN≠0 backend is never queried (Nonzero answers
-		// through the buckets); direct avoids building a second index.
-		WithNonzeroBackend(BackendDirect),
+		WithNonzeroBackend(backend),
 		WithSeed(d.cfg.seed),
 		WithIntegrationPanels(d.cfg.panels),
 		WithSpiralSamples(d.cfg.spiralSamples),
@@ -655,9 +687,9 @@ func (d *DynamicIndex) QueryBatchOps(ctx context.Context, reqs []Request, worker
 // of the logarithmic decomposition, the cumulative number of members
 // passed through static bucket (re)builds since construction — the
 // Bentley–Saxe amortized work a rebuild-per-write design would pay in
-// full on every mutation — and the number of static quantification
-// views built, at most one per run of writes followed by a
-// quantification read.
+// full on every mutation — and the number of static views built, at
+// most one per run of writes followed by a read the view answers: a
+// quantification read, or under BackendDiagram also an NN≠0 read.
 type DynamicStats struct {
 	Live           int
 	Garbage        int

@@ -1,6 +1,7 @@
 package pnn
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -278,21 +279,26 @@ func (h *dynHarness) compareAll(q Point, hasQuant bool) {
 // is bitwise identical to a fresh static Index built over the surviving
 // points — across set kinds, NN≠0 backends, and quantifiers.
 func TestDynamicEquivalence(t *testing.T) {
+	// steps is the history length. The diagram rows rebuild a diagram
+	// view at every compared step, so they run shorter histories.
 	cases := []struct {
-		name string
-		kind string
-		opts []Option
+		name  string
+		kind  string
+		opts  []Option
+		steps int
 	}{
-		{"disks/index/exact", "disks", []Option{WithIntegrationPanels(16)}},
-		{"disks/direct/exact", "disks", []Option{WithNonzeroBackend(BackendDirect), WithIntegrationPanels(16)}},
-		{"disks/index/mcbudget", "disks", []Option{WithQuantifier(MonteCarloBudget(40)), WithSeed(5)}},
-		{"disks/index/spiral", "disks", []Option{WithQuantifier(SpiralSearch(0.1)), WithSpiralSamples(60), WithSeed(3)}},
-		{"discrete/index/exact", "discrete", nil},
-		{"discrete/direct/exact", "discrete", []Option{WithNonzeroBackend(BackendDirect)}},
-		{"discrete/index/mc", "discrete", []Option{WithQuantifier(MonteCarlo(0.25, 0.25)), WithSeed(9)}},
-		{"discrete/index/spiral", "discrete", []Option{WithQuantifier(SpiralSearch(0.1))}},
-		{"squares/index", "squares", nil},
-		{"squares/direct", "squares", []Option{WithNonzeroBackend(BackendDirect)}},
+		{"disks/index/exact", "disks", []Option{WithIntegrationPanels(16)}, 120},
+		{"disks/direct/exact", "disks", []Option{WithNonzeroBackend(BackendDirect), WithIntegrationPanels(16)}, 120},
+		{"disks/diagram/exact", "disks", []Option{WithNonzeroBackend(BackendDiagram), WithIntegrationPanels(16)}, 40},
+		{"disks/index/mcbudget", "disks", []Option{WithQuantifier(MonteCarloBudget(40)), WithSeed(5)}, 120},
+		{"disks/index/spiral", "disks", []Option{WithQuantifier(SpiralSearch(0.1)), WithSpiralSamples(60), WithSeed(3)}, 120},
+		{"discrete/index/exact", "discrete", nil, 120},
+		{"discrete/direct/exact", "discrete", []Option{WithNonzeroBackend(BackendDirect)}, 120},
+		{"discrete/diagram/exact", "discrete", []Option{WithNonzeroBackend(BackendDiagram)}, 40},
+		{"discrete/index/mc", "discrete", []Option{WithQuantifier(MonteCarlo(0.25, 0.25)), WithSeed(9)}, 120},
+		{"discrete/index/spiral", "discrete", []Option{WithQuantifier(SpiralSearch(0.1))}, 120},
+		{"squares/index", "squares", nil, 120},
+		{"squares/direct", "squares", []Option{WithNonzeroBackend(BackendDirect)}, 120},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,9 +309,9 @@ func TestDynamicEquivalence(t *testing.T) {
 			}
 			h := &dynHarness{t: t, dyn: dyn, opts: tc.opts, kind: tc.kind}
 			hasQuant := tc.kind != "squares"
-			steps := 120
+			steps := tc.steps
 			if testing.Short() {
-				steps = 40
+				steps = min(steps, 40)
 			}
 			for step := 0; step < steps; step++ {
 				if h.liveLen() == 0 || r.Intn(3) != 0 {
@@ -346,40 +352,63 @@ func (h *dynHarness) someCenter(r *rand.Rand) Point {
 }
 
 // TestDynamicConcurrentReads queries a discrete DynamicIndex while
-// another goroutine inserts and deletes. Views share the live arrays
-// with the writes that follow them, so under -race this checks that no
-// write touches what a view reads, and every answer must equal a static
-// Index over some state of the write sequence.
+// another goroutine inserts and deletes: half the readers call TopK,
+// which answers through the view, and half Nonzero, which locates in the
+// buckets (or, under the diagram backend, answers through the view and
+// races its rebuilds). Views share the live arrays with the writes that
+// follow them, and a locate reads the dead flags, levels and bucket
+// slots that Delete and compaction rewrite, so under -race this checks
+// that no write touches what a read reads; every answer must equal a
+// static Index over some state of the write sequence.
 func TestDynamicConcurrentReads(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		writes int
+	}{
+		{"index", nil, 80},
+		{"diagram", []Option{WithNonzeroBackend(BackendDiagram)}, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) { concurrentReads(t, tc.opts, tc.writes) })
+	}
+}
+
+func concurrentReads(t *testing.T, opts []Option, writes int) {
 	type op struct {
 		insert DiscretePoint
 		del    PointID // 0 for an insert
 	}
-	// Plan the writes sequentially and collect every state's answer.
+	// Plan the writes sequentially and collect every state's answers.
 	r := rand.New(rand.NewSource(5))
-	plan, err := NewDynamic()
+	plan, err := NewDynamic(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &dynHarness{t: t, dyn: plan, kind: "discrete"}
+	h := &dynHarness{t: t, dyn: plan, opts: opts, kind: "discrete"}
 	q := Pt(20, 20)
-	want := map[string]bool{}
+	wantTop, wantNZ := map[string]bool{}, map[string]bool{}
 	var ops []op
-	for step := 0; step < 80; step++ {
+	for step := 0; step < writes; step++ {
 		if h.liveLen() < 10 || r.Intn(3) != 0 {
 			h.insertRandom(r)
 			ops = append(ops, op{insert: h.liveDiscs[len(h.liveDiscs)-1]})
 		} else {
 			ops = append(ops, op{del: h.deleteRandom(r)})
 		}
-		top, err := h.static().TopK(q, 64)
+		st := h.static()
+		top, err := st.TopK(q, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[fmt.Sprint(top)] = true
+		wantTop[fmt.Sprint(top)] = true
+		nz, err := st.Nonzero(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantNZ[fmt.Sprint(nz)] = true
 	}
 
-	dyn, err := NewDynamic()
+	dyn, err := NewDynamic(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +424,18 @@ func TestDynamicConcurrentReads(t *testing.T) {
 	for _, o := range ops[:10] {
 		apply(o)
 	}
+	readers := []struct {
+		name string
+		want map[string]bool
+		read func() (any, error)
+	}{
+		{"TopK", wantTop, func() (any, error) { return dyn.TopK(q, 64) }},
+		{"Nonzero", wantNZ, func() (any, error) { return dyn.Nonzero(q) }},
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
+	for g := 0; g < 4; g++ {
+		rd := readers[g%len(readers)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -407,13 +445,13 @@ func TestDynamicConcurrentReads(t *testing.T) {
 					return
 				default:
 				}
-				top, err := dyn.TopK(q, 64)
+				got, err := rd.read()
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !want[fmt.Sprint(top)] {
-					t.Errorf("TopK %v matches no state of the write sequence", top)
+				if !rd.want[fmt.Sprint(got)] {
+					t.Errorf("%s %v matches no state of the write sequence", rd.name, got)
 					return
 				}
 			}
@@ -454,8 +492,18 @@ func TestDynamicDeleteChurn(t *testing.T) {
 }
 
 func TestDynamicEmptyAndErrors(t *testing.T) {
-	if _, err := NewDynamic(WithNonzeroBackend(BackendDiagram)); err == nil {
-		t.Fatal("BackendDiagram accepted")
+	diag, err := NewDynamic(WithNonzeroBackend(BackendDiagram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nz, err := diag.Nonzero(Pt(0, 0)); err != nil || nz == nil || len(nz) != 0 {
+		t.Fatalf("empty diagram Nonzero = %#v, %v", nz, err)
+	}
+	if got := diag.Stats().ViewRebuilds; got != 0 {
+		t.Fatalf("empty diagram Nonzero built %d views", got)
+	}
+	if _, err := diag.InsertSquare(SquarePoint{Center: Pt(0, 0), R: 1}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("square insert under BackendDiagram: %v, want ErrUnsupported", err)
 	}
 	if _, err := NewDynamic(WithRandSource(rand.NewSource(1))); err == nil {
 		t.Fatal("WithRandSource accepted")
@@ -592,18 +640,22 @@ func TestDynamicIDsAndRanks(t *testing.T) {
 // TestDynamicViewRebuildCounts pins the view's rebuild rule for each
 // quantifier that reads through it: a run of writes followed by
 // quantification reads builds exactly one view, a repeated read builds
-// none, and Nonzero (answered from the buckets) never builds one.
+// none, and Nonzero (answered from the buckets) never builds one. Under
+// the diagram backend Nonzero answers from the view, so it builds the
+// round's one view and the quantification reads after it reuse it.
 func TestDynamicViewRebuildCounts(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		quant Quantifier
+		name    string
+		quant   Quantifier
+		backend NonzeroBackend
 	}{
-		{"exact", Exact()},
-		{"spiral", SpiralSearch(0.05)},
-		{"mcbudget", MonteCarloBudget(200)},
+		{"exact", Exact(), BackendIndex},
+		{"spiral", SpiralSearch(0.05), BackendIndex},
+		{"mcbudget", MonteCarloBudget(200), BackendIndex},
+		{"diagram", Exact(), BackendDiagram},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := NewDynamic(WithQuantifier(tc.quant))
+			d, err := NewDynamic(WithQuantifier(tc.quant), WithNonzeroBackend(tc.backend))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -635,13 +687,19 @@ func TestDynamicViewRebuildCounts(t *testing.T) {
 				if got := rebuilds(); got != want {
 					t.Fatalf("round %d: writes alone built views (%d, want %d)", round, got, want)
 				}
+				diagram := tc.backend == BackendDiagram
+				if diagram {
+					want++
+				}
 				if _, err := d.Nonzero(q); err != nil {
 					t.Fatal(err)
 				}
 				if got := rebuilds(); got != want {
-					t.Fatalf("round %d: Nonzero built a view (%d, want %d)", round, got, want)
+					t.Fatalf("round %d: Nonzero left %d view rebuilds, want %d", round, got, want)
 				}
-				want++
+				if !diagram {
+					want++
+				}
 				for i, read := range reads {
 					if err := read(); err != nil {
 						t.Fatal(err)

@@ -24,9 +24,25 @@ const (
 // DiskJSON is one continuous uncertain point.
 type DiskJSON struct {
 	X, Y, R float64
-	// Density is "uniform" (default) or "gaussian".
+	// Density is "uniform" (default) or "gaussian"; Point rejects any
+	// other value.
 	Density string  `json:",omitempty"`
 	Sigma   float64 `json:",omitempty"`
+}
+
+// Point converts the disk to the pnn value a query engine consumes. An
+// unknown Density is an error, never served as uniform.
+func (d DiskJSON) Point() (pnn.DiskPoint, error) {
+	p := pnn.DiskPoint{Support: pnn.Disk{Center: pnn.Pt(d.X, d.Y), R: d.R}}
+	switch d.Density {
+	case "", "uniform":
+	case "gaussian":
+		p.Density = pnn.TruncatedGaussian
+		p.Sigma = d.Sigma
+	default:
+		return pnn.DiskPoint{}, fmt.Errorf("unknown density %q (want uniform or gaussian)", d.Density)
+	}
+	return p, nil
 }
 
 // DiscreteJSON is one discrete uncertain point.
@@ -34,6 +50,19 @@ type DiscreteJSON struct {
 	X, Y []float64
 	// W are the location probabilities; empty means uniform.
 	W []float64 `json:",omitempty"`
+}
+
+// Point converts the discrete point to the pnn value a query engine
+// consumes; X and Y must be non-empty and of equal length.
+func (d DiscreteJSON) Point() (pnn.DiscretePoint, error) {
+	if len(d.X) != len(d.Y) || len(d.X) == 0 {
+		return pnn.DiscretePoint{}, errors.New("x and y must be non-empty and of equal length")
+	}
+	p := pnn.DiscretePoint{Weights: d.W}
+	for t := range d.X {
+		p.Locations = append(p.Locations, pnn.Pt(d.X[t], d.Y[t]))
+	}
+	return p, nil
 }
 
 // File is the top-level dataset document.
@@ -91,12 +120,10 @@ func (f *File) ContinuousSet() (*pnn.ContinuousSet, error) {
 	}
 	pts := make([]pnn.DiskPoint, len(f.Disks))
 	for i, d := range f.Disks {
-		dp := pnn.DiskPoint{Support: pnn.Disk{Center: pnn.Pt(d.X, d.Y), R: d.R}}
-		if d.Density == "gaussian" {
-			dp.Density = pnn.TruncatedGaussian
-			dp.Sigma = d.Sigma
+		var err error
+		if pts[i], err = d.Point(); err != nil {
+			return nil, fmt.Errorf("datafile: point %d: %w", i, err)
 		}
-		pts[i] = dp
 	}
 	return pnn.NewContinuousSet(pts)
 }
@@ -108,14 +135,10 @@ func (f *File) DiscreteSet() (*pnn.DiscreteSet, error) {
 	}
 	pts := make([]pnn.DiscretePoint, len(f.Discrete))
 	for i, d := range f.Discrete {
-		if len(d.X) != len(d.Y) || len(d.X) == 0 {
-			return nil, fmt.Errorf("datafile: point %d has mismatched coordinates", i)
+		var err error
+		if pts[i], err = d.Point(); err != nil {
+			return nil, fmt.Errorf("datafile: point %d: %w", i, err)
 		}
-		p := pnn.DiscretePoint{Weights: d.W}
-		for t := range d.X {
-			p.Locations = append(p.Locations, pnn.Pt(d.X[t], d.Y[t]))
-		}
-		pts[i] = p
 	}
 	return pnn.NewDiscreteSet(pts)
 }

@@ -3,6 +3,8 @@ package datafile
 import (
 	"strings"
 	"testing"
+
+	"pnn"
 )
 
 func TestRoundTripDisks(t *testing.T) {
@@ -85,5 +87,28 @@ func TestMismatchedCoordinates(t *testing.T) {
 	}
 	if _, err := f.DiscreteSet(); err == nil {
 		t.Fatal("mismatched X/Y lengths must error")
+	}
+}
+
+func TestUnknownDensity(t *testing.T) {
+	f := &File{
+		Kind: KindDisks,
+		Disks: []DiskJSON{
+			{X: 0, Y: 0, R: 1},
+			{X: 1, Y: 1, R: 1, Density: "gausian", Sigma: 0.3},
+		},
+	}
+	if _, err := f.Set(); err == nil || !strings.Contains(err.Error(), "point 1") {
+		t.Fatalf("unknown density: %v, want an error naming point 1", err)
+	}
+	for density, want := range map[string]pnn.Density{
+		"":         pnn.Uniform,
+		"uniform":  pnn.Uniform,
+		"gaussian": pnn.TruncatedGaussian,
+	} {
+		p, err := DiskJSON{X: 1, Y: 1, R: 1, Density: density, Sigma: 0.3}.Point()
+		if err != nil || p.Density != want {
+			t.Fatalf("density %q: %+v, %v; want density %v", density, p, err, want)
+		}
 	}
 }

@@ -2,9 +2,11 @@
 # Smoke test for the durable store: start pnnserve on an empty store
 # dir, create a dataset over HTTP, insert points, capture query bytes,
 # SIGKILL the process (no graceful anything), restart on the same dir,
-# and prove (1) every acknowledged write is still there and (2) the
-# post-restart query bytes are identical to the pre-kill bytes. Used by
-# the CI store-smoke job; runnable locally too.
+# and prove (1) every acknowledged write is still there, (2) the
+# post-restart query bytes are identical to the pre-kill bytes, and
+# (3) a live engine, backend=diagram included, absorbs a later write
+# without being rebuilt. Used by the CI store-smoke job; runnable
+# locally too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -52,6 +54,10 @@ admin() { # admin <method> <path> [json-body]
   echo "ok   $method $path -> 200"
 }
 
+index_builds() {
+  curl -fsS "$base/metrics" | awk '$1 == "pnn_index_builds_total" { print $2 }'
+}
+
 echo "== starting pnnserve on an empty store dir"
 start_server
 
@@ -76,11 +82,13 @@ admin POST '/v1/datasets/demo/points' '{"disks":[{"x":0,"y":0,"r":1}]}'
 queries=(
   '/v1/datasets'
   '/v1/nonzero?dataset=fleet&x=2&y=3'
+  '/v1/nonzero?dataset=fleet&x=2&y=3&backend=diagram'
   '/v1/probabilities?dataset=fleet&x=2&y=3'
   '/v1/topk?dataset=fleet&x=2&y=3&k=2'
   '/v1/threshold?dataset=fleet&x=2&y=3&tau=0.2'
   '/v1/expectednn?dataset=fleet&x=2&y=3'
   '/v1/nonzero?dataset=demo&x=5&y=5'
+  '/v1/nonzero?dataset=demo&x=5&y=5&backend=diagram'
   '/v1/probabilities?dataset=demo&x=5&y=5&method=mcbudget&rounds=200&seed=7'
 )
 
@@ -108,12 +116,26 @@ for i in "${!queries[@]}"; do
 done
 
 echo "== writes keep working after recovery (ids keep advancing)"
+builds_before="$(index_builds)"
 admin POST '/v1/datasets/fleet/points' '{"discrete":[{"x":[7],"y":[7]}]}'
 if ! grep -q '"ids":\[4\]' "$workdir/last_body"; then
   echo "FAIL: post-restart insert did not resume ids: $(cat "$workdir/last_body")" >&2
   exit 1
 fi
 echo "ok   post-restart insert resumed at id 4"
+
+echo "== the diagram engine absorbs the write (no rebuild)"
+body="$(curl -fsS "$base/v1/nonzero?dataset=fleet&x=2&y=3&backend=diagram")"
+builds_after="$(index_builds)"
+if [ -z "$builds_before" ] || [ "$builds_after" != "$builds_before" ]; then
+  echo "FAIL: pnn_index_builds_total went from '$builds_before' to '$builds_after' across an insert and a diagram query" >&2
+  exit 1
+fi
+if ! grep -q '"n":3' <<<"$body"; then
+  echo "FAIL: diagram query after the insert misses it: $body" >&2
+  exit 1
+fi
+echo "ok   diagram query sees n=3 with builds unchanged at $builds_after"
 
 echo "== mutation invalidates the cache (query -> insert -> same query)"
 q='/v1/topk?dataset=fleet&x=7&y=7&k=1'

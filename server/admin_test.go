@@ -277,6 +277,41 @@ func TestMutationLifecycle(t *testing.T) {
 	}
 }
 
+// TestInsertRejectsUnknownDensity pins the density check at the write
+// path's door: a misspelt density answers 400 bad_param and logs
+// nothing, instead of being stored and served as uniform, while the
+// documented spellings still insert.
+func TestInsertRejectsUnknownDensity(t *testing.T) {
+	_, hs, st := storeServer(t, Config{})
+	if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/d", api.CreateDataset{Kind: "disks"}, testToken); status != http.StatusOK {
+		t.Fatalf("create: %d %s", status, raw)
+	}
+	insert := func(density string) (int, []byte) {
+		return adminDo(t, hs, http.MethodPost, "/v1/datasets/d/points", api.InsertPoints{
+			Disks: []api.DiskPointJSON{{X: 1, Y: 1, R: 1, Density: density, Sigma: 0.3}},
+		}, testToken)
+	}
+	before, err := st.Dataset("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := insert("gausian"); status != http.StatusBadRequest || errCode(t, raw) != api.CodeBadParam {
+		t.Fatalf("misspelt density: %d %s, want 400 %s", status, raw, api.CodeBadParam)
+	}
+	if after, err := st.Dataset("d"); err != nil || after != before {
+		t.Fatalf("rejected insert moved the dataset: %+v (%v), was %+v", after, err, before)
+	}
+	for i, density := range []string{"", "uniform", "gaussian"} {
+		status, raw := insert(density)
+		if status != http.StatusOK {
+			t.Fatalf("density %q: %d %s", density, status, raw)
+		}
+		if m := decodeMutation(t, raw); m.N != i+1 {
+			t.Fatalf("density %q: ack %+v, want n=%d", density, m, i+1)
+		}
+	}
+}
+
 // TestDatasetListingStable pins the /v1/datasets contract: entries
 // sorted by name regardless of creation order, per-dataset version and
 // point count present — the fields clients and routers use to detect

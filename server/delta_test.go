@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"pnn/api"
@@ -22,10 +21,10 @@ import (
 // A seeded random interleaving of inserts and deletes runs over HTTP;
 // after each mutation every facade op is compared at several query
 // points, across set kinds, quantifier methods, and NN≠0 backends —
-// backend=diagram covers the durable static-engine path, which every
-// write retires. At the end the test verifies the comparison was not
-// vacuous: the durable server folded deltas into a live engine (or,
-// for the diagram, rebuilt its static engine after writes).
+// backend=diagram covers the engine whose NN≠0 answers come from its
+// live view. At the end the test verifies the comparison was not
+// vacuous: the durable server built one engine and folded every write
+// into it.
 func TestDeltaPathMatchesStaticRebuild(t *testing.T) {
 	cases := []struct {
 		name string
@@ -152,14 +151,9 @@ func deltaEquivalence(t *testing.T, kind, qs string) {
 	}
 
 	// Not vacuous: the dynamic engine was built once and absorbed every
-	// later write in place; the diagram's static engine was retired by
-	// each write and rebuilt by the next query.
+	// later write in place.
 	builds := srv.Metrics().Snapshot().IndexBuilds
-	if strings.Contains(qs, "backend=diagram") {
-		if builds != steps+1 {
-			t.Fatalf("diagram engine built %d times, want %d (one per write, plus the first)", builds, steps+1)
-		}
-	} else if ins := engineInserts(t, srv, name); builds != 1 || ins == 0 {
+	if ins := engineInserts(t, srv, name); builds != 1 || ins == 0 {
 		t.Fatalf("durable server built %d engines and its live engine holds %d inserts, want 1 build absorbing every write", builds, ins)
 	}
 }
@@ -185,21 +179,12 @@ func engineInserts(t *testing.T, srv *Server, name string) uint64 {
 
 // TestWriteDuringBuild commits an insert between an engine build's
 // store read and its publish. The insert's refresh skips an unpublished
-// dynamic build, and publish folds the insert in itself, so the build
-// is kept: the next query neither builds again nor misses the write. A
-// diagram build cannot absorb the insert, so the refresh retires it: it
-// still answers the query that started it, at the state it read, and
-// the next query rebuilds.
+// build, and publish folds the insert in itself, so the build is kept:
+// the next query neither builds again nor misses the write. The diagram
+// engine takes the same path as the index one.
 func TestWriteDuringBuild(t *testing.T) {
-	for _, tc := range []struct {
-		backend string
-		builds  uint64 // builds paid by the driven build plus the next query
-		len     int    // points in the driven build's engine once it returns
-	}{
-		{"index", 1, 4},
-		{"diagram", 2, 3},
-	} {
-		t.Run(tc.backend, func(t *testing.T) {
+	for _, backend := range []string{"index", "diagram"} {
+		t.Run(backend, func(t *testing.T) {
 			srv, hs, _ := storeServer(t, Config{})
 			const name = "b"
 			if status, raw := adminDo(t, hs, http.MethodPut, "/v1/datasets/"+name, api.CreateDataset{Kind: "discrete"}, testToken); status != http.StatusOK {
@@ -219,7 +204,7 @@ func TestWriteDuringBuild(t *testing.T) {
 			// write landing after its store read. The key is the one the
 			// query normalizes to.
 			ds := srv.reg.Get(name)
-			key := IndexKey{Backend: tc.backend, Method: "exact", Seed: 1}
+			key := IndexKey{Backend: backend, Method: "exact", Seed: 1}
 			before := srv.Metrics().Snapshot().IndexBuilds
 			e, err := ds.entry(key, 0, func(e *indexEntry) error {
 				if err := srv.buildEngine(context.Background(), e, ds, key); err != nil {
@@ -235,17 +220,18 @@ func TestWriteDuringBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := e.eng.Len(); n != tc.len {
-				t.Fatalf("driven build serves %d points, want %d", n, tc.len)
+			if n := e.eng.Len(); n != 4 {
+				t.Fatalf("driven build serves %d points, want 4", n)
 			}
 
-			q := "/v1/topk?dataset=" + name + "&x=0&y=0&k=3&backend=" + tc.backend
+			q := "/v1/topk?dataset=" + name + "&x=0&y=0&k=3&backend=" + backend
 			status, _, body := getBody(t, hs, q)
 			if status != http.StatusOK {
 				t.Fatalf("query: %d %s", status, body)
 			}
-			if builds := srv.Metrics().Snapshot().IndexBuilds - before; builds != tc.builds {
-				t.Fatalf("index builds rose by %d, want %d", builds, tc.builds)
+			// The driven build is the only one: the next query reuses it.
+			if builds := srv.Metrics().Snapshot().IndexBuilds - before; builds != 1 {
+				t.Fatalf("index builds rose by %d, want 1", builds)
 			}
 			if _, want := serveGet(readOnlyTwin(t, srv, name), q); !bytes.Equal(body, want) {
 				t.Fatalf("query after the write:\ndurable   %s\nread-only %s", body, want)
@@ -258,9 +244,9 @@ func TestWriteDuringBuild(t *testing.T) {
 // lazy build, or the build's publish, finds the dataset changed by
 // mutations whose refresh has not run yet. Dropped, or recreated under
 // another kind, reads as unknown_dataset — the query answers as if it
-// had arrived after the drop. Emptied reads as empty_dataset. Recreated
-// under the same kind during the build leaves a gap the op tail cannot
-// bridge, which reads as the retryable unavailable.
+// had arrived after the drop. Recreated under the same kind during the
+// build leaves a gap the op tail cannot bridge, which reads as the
+// retryable unavailable.
 func TestBuildFindsDatasetChanged(t *testing.T) {
 	ctx := context.Background()
 	pt := store.Point{Discrete: &datafile.DiscreteJSON{X: []float64{1}, Y: []float64{2}}}
@@ -292,8 +278,6 @@ func TestBuildFindsDatasetChanged(t *testing.T) {
 			func(_ *Server, st *store.Store) { must(st.DropDataset(ctx, "d")) }, nil},
 		{"rekinded", "index", api.CodeUnknownDataset,
 			func(_ *Server, st *store.Store) { recreate(st, "disks", disk) }, nil},
-		{"emptied", "diagram", api.CodeEmptyDataset,
-			func(_ *Server, st *store.Store) { must(st.DeletePoint(ctx, "d", 1)) }, nil},
 		{"dropped-during", "index", api.CodeUnknownDataset,
 			nil, func(srv *Server, st *store.Store) { bump(srv, st); must(st.DropDataset(ctx, "d")) }},
 		{"recreated-during", "index", api.CodeUnavailable,

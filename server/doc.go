@@ -55,10 +55,10 @@
 // monotone version, which keys the result cache (a stale cached answer
 // is structurally unreachable after a write). Batchers keep draining
 // across the bump, and no query retries: an engine is never older than
-// the version its query read. A backend=diagram engine cannot absorb
-// writes, so each write drops it and the next diagram query rebuilds
-// it from the store. Queries against a created-but-empty dataset
-// answer 409 api.CodeEmptyDataset.
+// the version its query read. Every backend takes this path: a
+// backend=diagram engine answers NN≠0 from its live view, which the
+// first query after a write rebuilds. Queries against a
+// created-but-empty dataset answer 409 api.CodeEmptyDataset.
 //
 // The sub-package pnn/server/shard layers a stateless scatter-gather
 // routing tier over multiple replicated instances of this server; it

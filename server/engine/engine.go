@@ -2,11 +2,12 @@
 // registry entry: something that answers heterogeneous query batches
 // at a dataset version, absorbs committed mutation deltas, and reports
 // the write-path work it has done. Two implementations exist — Static
-// wraps the build-once pnn.Index (bulk loads, imports, and explicitly
-// static serving; every delta demands a rebuild) and Dynamic wraps the
-// Bentley–Saxe pnn.DynamicIndex (amortized O(log n) per applied
-// write). The registry holds Engines and applies deltas in place,
-// dropping an engine for a lazy rebuild exactly when Apply refuses.
+// wraps the build-once pnn.Index and serves read-only datasets (every
+// delta demands a rebuild), and Dynamic wraps the Bentley–Saxe
+// pnn.DynamicIndex and serves every durable dataset, under each NN≠0
+// backend (amortized O(log n) per applied write). The registry holds
+// Engines and applies deltas in place, dropping an engine for a lazy
+// rebuild exactly when Apply refuses.
 package engine
 
 import (
@@ -107,7 +108,9 @@ type Dynamic struct {
 // points (parallel ids/pts slices in insertion order, as
 // store.PointsView returns them), so query result ranks match a static
 // index built from the same state. opts follow pnn.NewDynamic's rules:
-// BackendDiagram and WithRandSource are rejected.
+// WithRandSource is rejected. Under BackendDiagram the engine's NN≠0
+// answers come from its live view, which the first read after a write
+// rebuilds.
 func BuildDynamic(ids []uint64, pts []store.Point, opts []pnn.Option) (*Dynamic, error) {
 	dyn, err := pnn.NewDynamic(opts...)
 	if err != nil {
@@ -132,18 +135,20 @@ func (e *Dynamic) insertLocked(id uint64, p store.Point) error {
 	var err error
 	switch {
 	case p.Disk != nil:
-		pid, err = e.dyn.InsertDisk(store.DiskPoint(*p.Disk))
-	case p.Discrete != nil:
-		dp, derr := store.DiscretePoint(*p.Discrete)
-		if derr != nil {
-			return derr
+		var dp pnn.DiskPoint
+		if dp, err = p.Disk.Point(); err == nil {
+			pid, err = e.dyn.InsertDisk(dp)
 		}
-		pid, err = e.dyn.InsertDiscrete(dp)
+	case p.Discrete != nil:
+		var dp pnn.DiscretePoint
+		if dp, err = p.Discrete.Point(); err == nil {
+			pid, err = e.dyn.InsertDiscrete(dp)
+		}
 	default:
-		return fmt.Errorf("engine: stored point sets neither disk nor discrete")
+		err = errors.New("sets neither disk nor discrete")
 	}
 	if err != nil {
-		return err
+		return fmt.Errorf("engine: stored point %d: %w", id, err)
 	}
 	e.ids[id] = pid
 	e.inserts++

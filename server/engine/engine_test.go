@@ -9,7 +9,8 @@ import (
 	"pnn/store"
 )
 
-func discretePoint(x, y float64) store.Point {
+// storedAt is a one-location stored discrete point at (x, y).
+func storedAt(x, y float64) store.Point {
 	return store.Point{Discrete: &datafile.DiscreteJSON{X: []float64{x}, Y: []float64{y}}}
 }
 
@@ -17,7 +18,7 @@ func buildDynamic(t *testing.T, ids ...uint64) *Dynamic {
 	t.Helper()
 	pts := make([]store.Point, len(ids))
 	for i, id := range ids {
-		pts[i] = discretePoint(float64(id), 0)
+		pts[i] = storedAt(float64(id), 0)
 	}
 	e, err := BuildDynamic(ids, pts, nil)
 	if err != nil {
@@ -39,7 +40,7 @@ func TestStaticApply(t *testing.T) {
 	if err := s.Apply(nil); err != nil {
 		t.Fatalf("Apply(nil) = %v, want nil: an empty delta needs no rebuild", err)
 	}
-	err = s.Apply([]store.DeltaOp{{Seq: 2, IDs: []uint64{2}, Points: []store.Point{discretePoint(3, 4)}}})
+	err = s.Apply([]store.DeltaOp{{Seq: 2, IDs: []uint64{2}, Points: []store.Point{storedAt(3, 4)}}})
 	if !errors.Is(err, ErrRebuildRequired) {
 		t.Fatalf("Apply(insert) = %v, want ErrRebuildRequired", err)
 	}
@@ -61,7 +62,7 @@ func TestDynamicApplyUnknownDelete(t *testing.T) {
 
 func TestDynamicApplyMalformedInsert(t *testing.T) {
 	e := buildDynamic(t, 1)
-	err := e.Apply([]store.DeltaOp{{Seq: 2, IDs: []uint64{2, 3}, Points: []store.Point{discretePoint(2, 0)}}})
+	err := e.Apply([]store.DeltaOp{{Seq: 2, IDs: []uint64{2, 3}, Points: []store.Point{storedAt(2, 0)}}})
 	if err == nil {
 		t.Fatal("insert op with 2 ids for 1 point applied, want an error")
 	}
@@ -70,7 +71,7 @@ func TestDynamicApplyMalformedInsert(t *testing.T) {
 func TestDynamicCost(t *testing.T) {
 	e := buildDynamic(t, 1, 2)
 	err := e.Apply([]store.DeltaOp{
-		{Seq: 3, IDs: []uint64{3, 4}, Points: []store.Point{discretePoint(3, 0), discretePoint(4, 0)}},
+		{Seq: 3, IDs: []uint64{3, 4}, Points: []store.Point{storedAt(3, 0), storedAt(4, 0)}},
 		{Seq: 4, Deleted: 1},
 	})
 	if err != nil {
@@ -86,7 +87,7 @@ func TestDynamicCost(t *testing.T) {
 }
 
 func TestBuildDynamicRejectsMismatchedLengths(t *testing.T) {
-	if _, err := BuildDynamic([]uint64{1, 2}, []store.Point{discretePoint(1, 0)}, nil); err == nil {
+	if _, err := BuildDynamic([]uint64{1, 2}, []store.Point{storedAt(1, 0)}, nil); err == nil {
 		t.Fatal("BuildDynamic accepted 2 ids for 1 point")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // IndexKey identifies one engine configuration of a dataset: the NN≠0
 // backend plus the quantifier and its parameters. Two requests with the
-// same key share one lazily built pnn.Index and one batcher.
+// same key share one lazily built engine and one batcher.
 type IndexKey struct {
 	// Backend is "index", "direct", or "diagram".
 	Backend string
@@ -33,7 +33,7 @@ func (k IndexKey) String() string {
 		k.Backend, k.Method, k.Eps, k.Delta, k.Rounds, k.Seed)
 }
 
-// Options translates the key into pnn.New options.
+// Options translates the key into pnn.New and pnn.NewDynamic options.
 func (k IndexKey) Options() ([]pnn.Option, error) {
 	opts := []pnn.Option{pnn.WithSeed(k.Seed)}
 	switch k.Backend {
@@ -62,12 +62,6 @@ func (k IndexKey) Options() ([]pnn.Option, error) {
 	}
 	return opts, nil
 }
-
-// absorbsDeltas reports whether a durable dataset serves the key
-// through a delta-applied dynamic engine. The dynamic layer rejects the
-// diagram backend (a diagram cannot answer under a merged bound), so
-// those keys get a static engine that every write retires.
-func (k IndexKey) absorbsDeltas() bool { return k.Backend != "diagram" }
 
 // Dataset is one named uncertain-point set plus its lazily built
 // engines, one per IndexKey. A read-only dataset serves a fixed set; a
@@ -172,16 +166,13 @@ func (d *Dataset) Indexes() int {
 
 // applyDelta folds committed mutations into the dataset's published
 // engines and bumps the version in place, so batchers keep draining
-// and caches key naturally off the new version. An engine that refuses
-// the delta — a static diagram engine, or a dynamic one whose Apply
-// failed — is dropped from the map before the bump and rebuilt on its
+// and caches key naturally off the new version. An engine whose Apply
+// fails is dropped from the map before the bump and rebuilt on its
 // next query; queries already holding it finish on it, since its state
-// is never older than the version they read. Unpublished dynamic builds
-// are left alone (publish catches them up); unpublished diagram builds
-// are dropped like published ones, because their engine could never
-// catch up. Per-engine `applied` filtering keeps an engine whose build
-// already read a newer store state from replaying ops twice. Stale
-// deltas (version not newer) are ignored.
+// is never older than the version they read. Unpublished builds are
+// left alone: publish catches them up. Per-engine `applied` filtering
+// keeps an engine whose build already read a newer store state from
+// replaying ops twice. Stale deltas (version not newer) are ignored.
 func (d *Dataset) applyDelta(info store.DatasetInfo, ops []store.DeltaOp) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -190,9 +181,6 @@ func (d *Dataset) applyDelta(info store.DatasetInfo, ops []store.DeltaOp) {
 	}
 	for key, e := range d.entries {
 		if !e.built {
-			if !key.absorbsDeltas() {
-				delete(d.entries, key)
-			}
 			continue
 		}
 		if err := e.eng.Apply(opsAfter(ops, e.applied)); err != nil {
@@ -254,7 +242,7 @@ func (d *Dataset) entry(key IndexKey, maxEngines int, build func(*indexEntry) er
 			}
 		}()
 		if e.err = build(e); e.err == nil {
-			e.err = d.publish(key, e)
+			e.err = d.publish(e)
 		}
 	})
 	if e.err != nil {
@@ -275,15 +263,10 @@ func (d *Dataset) entry(key IndexKey, maxEngines int, build func(*indexEntry) er
 // publish makes a finished build visible to applyDelta. Writes whose
 // refresh ran during the build skipped the entry, so a build that read
 // the store behind the dataset's version first folds in everything the
-// store committed since its read. An entry no longer in the map is a
-// diagram build a write retired while it ran: it serves only the
-// queries that joined it, none of which read a version past its state.
-func (d *Dataset) publish(key IndexKey, e *indexEntry) error {
+// store committed since its read.
+func (d *Dataset) publish(e *indexEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.entries[key] != e {
-		return nil
-	}
 	if d.st != nil && e.applied < d.version {
 		info, ops, ok, err := d.st.OpsSince(d.Name, e.applied)
 		if err = d.sameIncarnation(info, err); err != nil {

@@ -42,11 +42,11 @@ type Config struct {
 	// POST .../points, DELETE .../points/{id}, POST .../snapshot) write
 	// through it, and its datasets are loaded into the registry at New.
 	// Durable datasets are served by delta-applied pnn.DynamicIndex
-	// engines: a write folds into live engines in place, costing
-	// amortized O(log n) instead of a full rebuild per engine. Requests
-	// with backend=diagram get a static engine (a diagram cannot answer
-	// under a merged bound), rebuilt after each write. Without a store
-	// the mutation endpoints answer 409 read_only.
+	// engines under every backend: a write folds into live engines in
+	// place, costing amortized O(log n) instead of a full rebuild per
+	// engine. Under backend=diagram the engine answers NN≠0 from its
+	// live view, which the first query after a write rebuilds. Without
+	// a store the mutation endpoints answer 409 read_only.
 	Store *store.Store
 	// AdminToken guards the mutation endpoints: requests must carry
 	// "Authorization: Bearer <AdminToken>". Empty means the mutation
@@ -404,8 +404,6 @@ func failure(err error) *queryError {
 		return &queryError{http.StatusTooManyRequests, api.CodeTooManyEngines, err}
 	case errors.Is(err, store.ErrUnknownDataset):
 		return &queryError{http.StatusNotFound, api.CodeUnknownDataset, err}
-	case errors.Is(err, errEmptyDataset):
-		return &queryError{http.StatusConflict, api.CodeEmptyDataset, err}
 	case errors.Is(err, errBuildOutpaced):
 		return &queryError{http.StatusServiceUnavailable, api.CodeUnavailable, err}
 	case errors.Is(err, pnn.ErrUnsupported):
@@ -422,14 +420,9 @@ func failure(err error) *queryError {
 	}
 }
 
-// errEmptyDataset fails a diagram engine build whose store read found
-// every point deleted after the query saw some.
-var errEmptyDataset = errors.New("server: dataset has no points left")
-
 // buildEngine constructs one entry's engine and batcher. A durable
-// dataset builds from its own store read — a delta-applicable dynamic
-// engine, except for backend=diagram, which no dynamic engine can
-// serve — and records the version it read in e.applied, from which
+// dataset builds a delta-applicable dynamic engine from its own store
+// read and records the version it read in e.applied, from which
 // publish catches the engine up. A read that finds the dataset dropped
 // or recreated under another kind fails the build with
 // store.ErrUnknownDataset. A read-only dataset builds statically from
@@ -448,8 +441,7 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 		obs.Stage(ctx, "build", s.metrics.stages.With("build"), start, time.Now(),
 			"dataset", ds.Name, "backend", key.Backend)
 	}()
-	switch {
-	case ds.st != nil && key.absorbsDeltas():
+	if ds.st != nil {
 		info, ids, pts, err := ds.st.PointsView(ds.Name)
 		if err = ds.sameIncarnation(info, err); err != nil {
 			return err
@@ -459,20 +451,7 @@ func (s *Server) buildEngine(ctx context.Context, e *indexEntry, ds *Dataset, ke
 			return err
 		}
 		e.eng, e.applied = eng, info.Version
-	case ds.st != nil:
-		info, set, err := ds.st.View(ds.Name)
-		if err = ds.sameIncarnation(info, err); err != nil {
-			return err
-		}
-		if set == nil {
-			return fmt.Errorf("dataset %q: %w", ds.Name, errEmptyDataset)
-		}
-		ix, err := pnn.New(set, opts...)
-		if err != nil {
-			return err
-		}
-		e.eng, e.applied = engine.NewStatic(ix), info.Version
-	default:
+	} else {
 		ix, err := pnn.New(ds.set, opts...)
 		if err != nil {
 			return err

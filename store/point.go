@@ -53,49 +53,19 @@ func (p Point) validate(kind string) error {
 		if p.Disk.R < 0 {
 			return fmt.Errorf("store: negative disk radius %g", p.Disk.R)
 		}
-	case KindDiscrete:
-		d := p.Discrete
-		if len(d.X) == 0 || len(d.X) != len(d.Y) {
-			return fmt.Errorf("store: discrete point needs matching non-empty x and y")
+		if _, err := p.Disk.Point(); err != nil {
+			return fmt.Errorf("store: %w", err)
 		}
-		pt, err := discretePoint(*d)
+	case KindDiscrete:
+		pt, err := p.Discrete.Point()
 		if err != nil {
-			return err
+			return fmt.Errorf("store: discrete point: %w", err)
 		}
 		if _, err := pnn.NewDiscreteSet([]pnn.DiscretePoint{pt}); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
 	return nil
-}
-
-// DiskPoint converts one stored disk shape to the pnn value a query
-// engine consumes — the exact conversion buildSet applies, exported so
-// engines applying mutation deltas build identical points.
-func DiskPoint(d datafile.DiskJSON) pnn.DiskPoint { return diskPoint(d) }
-
-// DiscretePoint converts one stored discrete shape to its pnn value;
-// see DiskPoint.
-func DiscretePoint(d datafile.DiscreteJSON) (pnn.DiscretePoint, error) { return discretePoint(d) }
-
-func diskPoint(d datafile.DiskJSON) pnn.DiskPoint {
-	dp := pnn.DiskPoint{Support: pnn.Disk{Center: pnn.Pt(d.X, d.Y), R: d.R}}
-	if d.Density == "gaussian" {
-		dp.Density = pnn.TruncatedGaussian
-		dp.Sigma = d.Sigma
-	}
-	return dp
-}
-
-func discretePoint(d datafile.DiscreteJSON) (pnn.DiscretePoint, error) {
-	if len(d.X) != len(d.Y) || len(d.X) == 0 {
-		return pnn.DiscretePoint{}, errors.New("store: discrete point has mismatched coordinates")
-	}
-	p := pnn.DiscretePoint{Weights: d.W}
-	for t := range d.X {
-		p.Locations = append(p.Locations, pnn.Pt(d.X[t], d.Y[t]))
-	}
-	return p, nil
 }
 
 // buildSet assembles the pnn set of a dataset's live points in id
@@ -108,17 +78,19 @@ func buildSet(kind string, pts []storedPoint) (pnn.UncertainSet, error) {
 	case KindDisks:
 		out := make([]pnn.DiskPoint, len(pts))
 		for i, sp := range pts {
-			out[i] = diskPoint(*sp.P.Disk)
+			var err error
+			if out[i], err = sp.P.Disk.Point(); err != nil {
+				return nil, fmt.Errorf("store: point %d: %w", sp.ID, err)
+			}
 		}
 		return pnn.NewContinuousSet(out)
 	case KindDiscrete:
 		out := make([]pnn.DiscretePoint, len(pts))
 		for i, sp := range pts {
-			p, err := discretePoint(*sp.P.Discrete)
-			if err != nil {
-				return nil, err
+			var err error
+			if out[i], err = sp.P.Discrete.Point(); err != nil {
+				return nil, fmt.Errorf("store: point %d: %w", sp.ID, err)
 			}
-			out[i] = p
 		}
 		return pnn.NewDiscreteSet(out)
 	}

@@ -55,13 +55,11 @@ type dataset struct {
 	nextID  uint64
 	version uint64
 	points  []storedPoint // increasing ID
-	// set caches the built pnn set; nil when dirty or empty.
-	set      pnn.UncertainSet
-	setDirty bool
 	// tail is the retained recent mutation history: exactly the ops
 	// with Seq in (tailBase, version], in commit order. OpsSince answers
 	// from it; once it would exceed maxTail the oldest half is dropped
-	// and tailBase advances, forcing readers further back onto View.
+	// and tailBase advances, forcing readers further back onto a full
+	// PointsView read.
 	tail     []DeltaOp
 	tailBase uint64
 }
@@ -172,7 +170,6 @@ func Open(dir string) (*Store, error) {
 				nextID:   sd.NextID,
 				version:  sd.Version,
 				points:   sd.Points,
-				setDirty: true,
 				tailBase: sd.Version,
 			}
 		}
@@ -261,7 +258,6 @@ func (s *Store) apply(rec record) error {
 			d.nextID = id
 		}
 		d.version = rec.Seq
-		d.setDirty = true
 		d.appendTail(DeltaOp{Seq: rec.Seq, IDs: ids, Points: rec.Points})
 	case "delete":
 		d, ok := s.datasets[rec.Dataset]
@@ -274,7 +270,6 @@ func (s *Store) apply(rec record) error {
 		}
 		d.points = append(d.points[:i], d.points[i+1:]...)
 		d.version = rec.Seq
-		d.setDirty = true
 		d.appendTail(DeltaOp{Seq: rec.Seq, Deleted: rec.ID})
 	default:
 		return fmt.Errorf("store: unknown op %q", rec.Op)
@@ -474,9 +469,9 @@ func (s *Store) Names() []string {
 }
 
 // Infos lists every dataset, sorted by name. The listing alone is
-// consistent, but pairing it with per-name Set calls is not atomic
-// under concurrent mutations — use View to read one dataset's info and
-// set together.
+// consistent, but pairing it with per-name reads is not atomic under
+// concurrent mutations — use View or PointsView to read one dataset's
+// info and points together.
 func (s *Store) Infos() []DatasetInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -499,33 +494,12 @@ func (s *Store) Dataset(name string) (DatasetInfo, error) {
 	return DatasetInfo{Name: name, Kind: d.kind, N: len(d.points), Version: d.version}, nil
 }
 
-// Set returns the dataset's current point set (nil when empty) and its
-// version. The set is immutable and cached until the next mutation, so
-// repeated calls between writes are cheap and callers may index it
-// concurrently. Callers that also need the dataset's kind or count
-// must use View: pairing Set with a separate Dataset/Infos call is not
-// atomic, and a concurrent drop+recreate between the two calls can
-// hand back the old kind with the new set.
-func (s *Store) Set(name string) (pnn.UncertainSet, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.datasets[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
-	set, err := s.setLocked(d)
-	if err != nil {
-		return nil, 0, err
-	}
-	return set, d.version, nil
-}
-
-// View returns one dataset's info and its current point set under a
-// single lock acquisition: the (kind, set, version) triple can never
-// mix two mutations' states. Callers that read info and set in two
-// separate calls would race concurrent drops and drop+recreates — a
-// recreate under another kind between the calls could pair the old
-// kind with the new set.
+// View returns one dataset's info and its current point set (nil when
+// empty), built afresh on each call, under a single lock acquisition:
+// the (kind, set, version) triple can never mix two mutations' states.
+// Callers that read info and set in two separate calls would race
+// concurrent drops and drop+recreates — a recreate under another kind
+// between the calls could pair the old kind with the new set.
 func (s *Store) View(name string) (DatasetInfo, pnn.UncertainSet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -533,7 +507,7 @@ func (s *Store) View(name string) (DatasetInfo, pnn.UncertainSet, error) {
 	if !ok {
 		return DatasetInfo{}, nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	set, err := s.setLocked(d)
+	set, err := buildSet(d.kind, d.points)
 	if err != nil {
 		return DatasetInfo{}, nil, err
 	}
@@ -546,9 +520,9 @@ func (s *Store) View(name string) (DatasetInfo, pnn.UncertainSet, error) {
 // retained history still reaches back to version: when it does not —
 // the reader stalled past the tail cap, or the dataset was dropped and
 // recreated (a fresh incarnation's history starts at its create op) —
-// ok is false and the caller must fall back to a full View read. The
-// returned ops' slices are shared immutable history; callers must not
-// mutate them.
+// ok is false and the caller must fall back to a full PointsView read.
+// The returned ops' slices are shared immutable history; callers must
+// not mutate them.
 func (s *Store) OpsSince(name string, version uint64) (DatasetInfo, []DeltaOp, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -588,26 +562,9 @@ func (s *Store) PointsView(name string) (DatasetInfo, []uint64, []Point, error) 
 	return DatasetInfo{Name: name, Kind: d.kind, N: len(d.points), Version: d.version}, ids, pts, nil
 }
 
-// setLocked returns d's built point set (nil when empty), rebuilding
-// the cached set if a mutation dirtied it. The caller holds s.mu.
-func (s *Store) setLocked(d *dataset) (pnn.UncertainSet, error) {
-	if d.setDirty || (d.set == nil && len(d.points) > 0) {
-		set, err := buildSet(d.kind, d.points)
-		if err != nil {
-			return nil, err
-		}
-		d.set = set
-		d.setDirty = false
-	}
-	if len(d.points) == 0 {
-		return nil, nil
-	}
-	return d.set, nil
-}
-
 // Points returns the dataset's live points with their ids, in
-// insertion order — result index i of a query over Set corresponds to
-// Points[i].
+// insertion order — result index i of a query over View's set
+// corresponds to Points[i].
 func (s *Store) Points(name string) ([]uint64, []Point, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -66,10 +66,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("unknown dataset: %v", err)
 	}
 
-	set, v1, err := s.Set("fleet")
+	info, set, err := s.View("fleet")
 	if err != nil {
 		t.Fatal(err)
 	}
+	v1 := info.Version
 	if set.Len() != 2 {
 		t.Fatalf("set len %d", set.Len())
 	}
