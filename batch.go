@@ -8,39 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// Result is the answer to one query of a batch: the NN≠0 candidate set
-// and, when the index has a quantifier, the probability vector.
-type Result struct {
-	// Nonzero is NN≠0(q) in increasing index order.
-	Nonzero []int
-	// Probabilities is π(q) from the configured quantifier; nil when the
-	// data kind has no quantifier (L∞ squares).
-	Probabilities []float64
-}
-
-// QueryBatch answers many queries concurrently and returns results in
-// input order. The output is identical for every worker count: queries
-// are independent and every structure is read-only after construction,
-// so parallelism never changes answers (randomized quantifiers draw all
-// randomness during New). workers ≤ 0 uses GOMAXPROCS.
-//
-// Cancellation is checked between queries; on cancellation the partial
-// results are discarded and ctx.Err() is returned.
-func (ix *Index) QueryBatch(ctx context.Context, qs []Point, workers int) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	res := make([]Result, len(qs))
-	runPool(ctx, len(qs), workers, func(i int) { res[i] = ix.queryOne(qs[i]) })
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // Op selects the query method of one batched Request — the facade's
 // method surface as data, so callers that merge heterogeneous query
 // streams (a server coalescing concurrent HTTP requests, say) can
@@ -110,11 +77,13 @@ type OpResult struct {
 
 // QueryBatchOps answers a heterogeneous batch — each request names its
 // own method and parameters — concurrently, returning results in input
-// order. Like QueryBatch the output is identical for every worker
-// count; per-request failures are reported in OpResult.Err so one
-// unsupported request never poisons its batchmates. workers ≤ 0 uses
-// GOMAXPROCS. On cancellation partial results are discarded and
-// ctx.Err() is returned.
+// order. The output is identical for every worker count: requests are
+// independent and every structure is read-only after construction
+// (randomized quantifiers draw all randomness during New). Per-request
+// failures are reported in OpResult.Err so one unsupported request never
+// poisons its batchmates. workers ≤ 0 uses GOMAXPROCS. Cancellation is
+// checked between requests; on cancellation partial results are
+// discarded and ctx.Err() is returned.
 func (ix *Index) QueryBatchOps(ctx context.Context, reqs []Request, workers int) ([]OpResult, error) {
 	return queryBatchOps(ctx, ix, reqs, workers)
 }
@@ -189,12 +158,4 @@ func runPool(ctx context.Context, n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-func (ix *Index) queryOne(q Point) Result {
-	r := Result{Nonzero: ix.nonzero(toGeom(q), nil)}
-	if ix.probs != nil {
-		r.Probabilities = ix.probs(q)
-	}
-	return r
 }

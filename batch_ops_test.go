@@ -73,14 +73,11 @@ func TestQueryBatchOpsMatchesSequential(t *testing.T) {
 }
 
 // TestQueryBatchOpsDeterministicAcrossWorkers runs the same mixed batch
-// at several worker counts and demands identical output.
+// at several worker counts (0 = GOMAXPROCS) and demands identical
+// output, for a deterministic and a randomized quantifier.
 func TestQueryBatchOpsDeterministicAcrossWorkers(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 10, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := New(set, WithQuantifier(SpiralSearch(0.05)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +88,23 @@ func TestQueryBatchOpsDeterministicAcrossWorkers(t *testing.T) {
 			Q: Pt(r.Float64()*40, r.Float64()*40), Op: ops[i%len(ops)], K: 2, Tau: 0.1,
 		})
 	}
-	ref, err := ix.QueryBatchOps(context.Background(), reqs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 17} {
-		got, err := ix.QueryBatchOps(context.Background(), reqs, workers)
+	for name, q := range map[string]Quantifier{"spiral": SpiralSearch(0.05), "mcbudget": MonteCarloBudget(500)} {
+		ix, err := New(set, WithQuantifier(q), WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: results differ from serial", workers)
+		ref, err := ix.QueryBatchOps(context.Background(), reqs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4, 17, 0} {
+			got, err := ix.QueryBatchOps(context.Background(), reqs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s workers=%d: results differ from serial", name, workers)
+			}
 		}
 	}
 }
@@ -159,5 +162,9 @@ func TestQueryBatchOpsCancellation(t *testing.T) {
 	cancel()
 	if _, err := ix.QueryBatchOps(ctx, []Request{{Q: Pt(1, 1), Op: OpNonzero}}, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	// An empty batch is a no-op without cancellation.
+	if res, err := ix.QueryBatchOps(context.Background(), nil, 4); err != nil || res != nil {
+		t.Fatalf("empty batch: %v %v", res, err)
 	}
 }

@@ -200,9 +200,10 @@ func BenchmarkMonteCarloQuery(b *testing.B) {
 			s := quantify.SampleCountDiscrete(100, 4, eps, 0.05)
 			mc := quantify.NewMonteCarloDiscrete(pts, s, r)
 			q := geom.Pt(150, 150)
+			var buf []quantify.IndexProb
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mc.Estimate(q)
+				buf = mc.EstimatePositiveInto(q, buf)
 			}
 		})
 	}
@@ -229,9 +230,10 @@ func BenchmarkSpiralSearch(b *testing.B) {
 			pts := workload.RandomDiscrete(r, 1000, 4, 1000, 4, spread)
 			sp := quantify.NewSpiral(pts)
 			q := geom.Pt(500, 500)
+			var buf []quantify.IndexProb
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sp.Estimate(q, 0.05)
+				buf = sp.EstimatePositiveInto(q, 0.05, buf)
 			}
 		})
 	}

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -79,7 +80,7 @@ func main() {
 		{"baselines", "query-time comparison: diagram vs index vs R-tree vs brute", expBaselines},
 		{"expected-vs-prob", "§1.2: expected-distance NN disagrees with probability ranking", expExpectedVsProb},
 		{"linf", "§3 Remark (ii): L∞ metric with square regions", expLInf},
-		{"facade-batch", "pnn.Index facade: QueryBatch throughput vs workers", expFacadeBatch},
+		{"facade-batch", "pnn.Index facade: QueryBatchOps throughput vs workers", expFacadeBatch},
 		{"ablation-persist", "ablation: persistent vs explicit face-set storage (Thm 2.11)", expAblationPersist},
 		{"ablation-envelope", "ablation: envelope grid resolution vs vertex counts", expAblationEnvelope},
 		{"ablation-flatten", "ablation: arc flattening density vs query agreement", expAblationFlatten},
@@ -440,7 +441,7 @@ func expMCError() {
 		maxErr := 0.0
 		start := time.Now()
 		for _, q := range qs {
-			got := mc.Estimate(q)
+			got := quantify.Scatter(n, mc.EstimatePositiveInto(q, nil))
 			want := quantify.ExactAll(pts, q)
 			maxErr = math.Max(maxErr, stats.MaxAbsDiff(got, want))
 		}
@@ -472,7 +473,7 @@ func expMCContinuous() {
 		mc := quantify.NewMonteCarloContinuous(ps, s, r)
 		maxErr := 0.0
 		for _, q := range qs {
-			got := mc.Estimate(q)
+			got := quantify.Scatter(n, mc.EstimatePositiveInto(q, nil))
 			want := baseline.IntegrateAll(ps, q, 512)
 			maxErr = math.Max(maxErr, stats.MaxAbsDiff(got, want))
 		}
@@ -493,7 +494,7 @@ func expSpiral() {
 			maxUnder, maxOver := 0.0, 0.0
 			start := time.Now()
 			for _, q := range qs {
-				got := sp.Estimate(q, eps)
+				got := quantify.Scatter(n, sp.EstimatePositiveInto(q, eps, nil))
 				want := quantify.ExactAll(pts, q)
 				for i := range want {
 					maxUnder = math.Max(maxUnder, want[i]-got[i]) // must be ≤ ε
@@ -539,7 +540,7 @@ func expSpiralAdversarial() {
 	q := geom.Pt(0, 0)
 	exact := quantify.ExactAll(pts, q)
 	sp := quantify.NewSpiral(pts)
-	approx := sp.Estimate(q, eps)
+	approx := quantify.Scatter(len(pts), sp.EstimatePositiveInto(q, eps, nil))
 
 	// The flawed heuristic from Remark (i): drop locations with weight
 	// below ε/k, then evaluate.
@@ -615,18 +616,6 @@ func eq(a, b []int) bool {
 	return true
 }
 
-func eqF(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // E16 — the unified pnn.Index facade: batch-query throughput scaling
 // with worker count, with a worker-count-independence cross-check (the
 // engine is read-only after New, so answers cannot depend on schedule).
@@ -658,11 +647,13 @@ func expFacadeBatch() {
 	if *quick {
 		nq = 500
 	}
-	qs := make([]pnn.Point, nq)
-	for i := range qs {
-		qs[i] = pnn.Pt(r.Float64()*1000, r.Float64()*1000)
+	// Each query asks for NN≠0 and the π vector.
+	reqs := make([]pnn.Request, 0, 2*nq)
+	for range nq {
+		q := pnn.Pt(r.Float64()*1000, r.Float64()*1000)
+		reqs = append(reqs, pnn.Request{Q: q, Op: pnn.OpNonzero}, pnn.Request{Q: q, Op: pnn.OpProbabilities})
 	}
-	ref, err := idx.QueryBatch(context.Background(), qs, 1)
+	ref, err := idx.QueryBatchOps(context.Background(), reqs, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -671,18 +662,12 @@ func expFacadeBatch() {
 	fmt.Println("workers  total      per-query  identical-to-serial")
 	for _, w := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		got, err := idx.QueryBatch(context.Background(), qs, w)
+		got, err := idx.QueryBatchOps(context.Background(), reqs, w)
 		if err != nil {
 			panic(err)
 		}
 		el := time.Since(start)
-		same := len(got) == len(ref)
-		for i := range got {
-			if !same || !eq(got[i].Nonzero, ref[i].Nonzero) || !eqF(got[i].Probabilities, ref[i].Probabilities) {
-				same = false
-				break
-			}
-		}
+		same := reflect.DeepEqual(got, ref)
 		fmt.Printf("%-8d %-10v %-10v %v\n",
 			w, el.Round(time.Millisecond),
 			(el / time.Duration(nq)).Round(time.Microsecond), same)
@@ -1002,13 +987,15 @@ func expMicrobench() {
 			}
 		}},
 		{"spiral-0.05", map[string]any{"n": np, "k": kp, "eps": 0.05}, func(b *testing.B) {
+			var buf []quantify.IndexProb
 			for i := 0; i < b.N; i++ {
-				sp.Estimate(pqs[i%len(pqs)], 0.05)
+				buf = sp.EstimatePositiveInto(pqs[i%len(pqs)], 0.05, buf)
 			}
 		}},
 		{"mc-200rounds", map[string]any{"n": np, "k": kp, "rounds": 200}, func(b *testing.B) {
+			var buf []quantify.IndexProb
 			for i := 0; i < b.N; i++ {
-				mc.Estimate(pqs[i%len(pqs)])
+				buf = mc.EstimatePositiveInto(pqs[i%len(pqs)], buf)
 			}
 		}},
 		{"facade-batchops-64", map[string]any{"n": np, "k": kp, "batch": len(batch)}, func(b *testing.B) {

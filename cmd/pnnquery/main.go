@@ -95,15 +95,25 @@ func main() {
 			" the sampling term adds to ε")
 	}
 
-	results, err := idx.QueryBatch(context.Background(), qs, *workers)
+	// Each query point asks for NN≠0 and the π vector.
+	reqs := make([]pnn.Request, 0, 2*len(qs))
+	for _, q := range qs {
+		reqs = append(reqs, pnn.Request{Q: q, Op: pnn.OpNonzero}, pnn.Request{Q: q, Op: pnn.OpProbabilities})
+	}
+	res, err := idx.QueryBatchOps(context.Background(), reqs, *workers)
 	if err != nil {
 		fatal(err)
 	}
-	for i, res := range results {
-		q := qs[i]
+	for i, q := range qs {
+		nz, pr := res[2*i], res[2*i+1]
+		for _, r := range []pnn.OpResult{nz, pr} {
+			if r.Err != nil {
+				fatal(r.Err)
+			}
+		}
 		fmt.Printf("NN≠0(%g, %g) = %v  (%d of %d points)\n",
-			q.X, q.Y, res.Nonzero, len(res.Nonzero), idx.Len())
-		printProbs(res.Probabilities, 1e-9)
+			q.X, q.Y, nz.Nonzero, len(nz.Nonzero), idx.Len())
+		printProbs(pr.Probabilities, 1e-9)
 	}
 }
 

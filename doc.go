@@ -12,7 +12,7 @@
 //	candidates, err := idx.Nonzero(q)       // NN≠0(q): who can be nearest?
 //	pi, err := idx.Probabilities(q)         // π_i(q): how likely is each?
 //	top, err := idx.TopK(q, 3)              // most probable nearest neighbors
-//	results, err := idx.QueryBatch(ctx, qs, workers) // concurrent batches
+//	results, err := idx.QueryBatchOps(ctx, reqs, workers) // concurrent batches
 //
 // An uncertain point is either continuous — a probability density with a
 // disk support (uniform or truncated Gaussian) — or discrete: k candidate
@@ -43,50 +43,51 @@
 //	WithIntegrationPanels / WithSpiralSamples   accuracy knobs for
 //	                    continuous inputs
 //
-// # The sparse hot path
+// # One probability path
 //
-// TopK, Threshold, and PositiveProbabilities never materialize the
-// N-length probability vector when the engine has a sparse answer: a
-// Monte Carlo estimator reports at most s positive estimates (Theorem
-// 4.3), spiral search inspects only the m(ρ,ε) nearest locations
-// (Theorem 4.7), and the exact discrete engine sweeps only the
-// locations within Δ(q) = min_j Δ_j(q) of q, the window outside which
-// Lemma 2.1 rules out any positive probability. Those engines answer
-// ranked and filtered queries in output-sized allocations — typically
-// one allocation per call, for the caller-owned result. Exact
-// continuous engines and V_Pr compute the dense vector (into pooled
-// scratch where they can) and filter it. The sparse and dense paths are
-// equivalence-tested to be identical, bitwise, across engines and set
-// kinds. The one dense fallback is Threshold with tau ≤ Eps() on an
-// approximate engine, where zero-estimate points are genuinely Possible
-// and the full vector is required (it comes from the same pooled
-// scratch).
+// Every quantifier answers a query with the entries π_i(q) > 0 in
+// increasing index order, the form the paper's regimes produce: a Monte
+// Carlo estimator reports at most s positive estimates (Theorem 4.3),
+// spiral search inspects only the m(ρ,ε) nearest locations (Theorem
+// 4.7), and the exact discrete engine sweeps only the locations within
+// Δ(q) = min_j Δ_j(q) of q, the window outside which Lemma 2.1 rules out
+// any positive probability. Exact continuous integration and V_Pr
+// compute the dense vector and keep its positive entries. TopK,
+// Threshold, and PositiveProbabilities rank or filter those entries in
+// output-sized allocations — typically one per call, for the
+// caller-owned result. Probabilities scatters them into a zeroed
+// N-length vector, and Threshold with tau ≤ Eps() on an approximate
+// engine walks every index, since a zero estimate is then Possible.
 //
-// # Caller-buffer variants and ownership
+// # Ownership and the caller-buffer variant
 //
 // Every query result is caller-owned: mutating a returned slice never
-// affects later queries. For allocation-flat loops the *Into variants —
-// ProbabilitiesInto and NonzeroInto — reuse a caller buffer instead:
-// the buffer is consumed from its start (not appended after existing
-// elements), grown only when too small, and the returned slice aliases
-// it, so it is valid only until the next *Into call with that buffer.
-// Passing nil is allowed and behaves like the allocating form.
+// affects later queries. For allocation-flat loops NonzeroInto reuses a
+// caller buffer instead: the buffer is consumed from its start (not
+// appended after existing elements), grown only when too small, and the
+// returned slice aliases it, so it is valid only until the next
+// NonzeroInto call with that buffer. Passing nil is allowed and behaves
+// like Nonzero.
 //
 // # Query-parameter domains
 //
+// New and NewDynamic reject a quantifier outside its domain with
+// ErrInvalidParam before building anything: MonteCarlo and SpiralSearch
+// need eps (and delta) in (0, 1), MonteCarloBudget at least one round.
 // TopK(q, k) defines its edges identically through the facade,
 // QueryBatchOps, and the HTTP serving surface: k < 0 fails with
 // ErrInvalidParam, k == 0 answers an empty ranking, k > Len() clamps.
 // Threshold rejects NaN and ±Inf taus with ErrInvalidParam, and never
 // certifies a zero-probability point — Threshold(q, 0) reports exactly
 // the positive-probability points as Certain under an exact engine.
+// PositiveProbabilities rejects a NaN eps with ErrInvalidParam.
 //
 // # Determinism
 //
 // All randomness is drawn during New (Monte Carlo instantiations,
 // continuous-point discretization), so a built Index is read-only:
-// every query method is safe for concurrent use, and QueryBatch returns
-// identical results for every worker count. Two Indexes built from the
+// every query method is safe for concurrent use, and QueryBatchOps
+// returns identical results for every worker count. Two Indexes built from the
 // same data, options, and seed answer identically.
 //
 // # Dynamic indexes

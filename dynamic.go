@@ -133,6 +133,9 @@ func NewDynamic(opts ...Option) (*DynamicIndex, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if err := cfg.quant.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.src != nil {
 		return nil, fmt.Errorf("pnn: WithRandSource is unsupported for DynamicIndex (view rebuilds must replay the same randomness; use WithSeed): %w", ErrUnsupported)
 	}
@@ -597,6 +600,9 @@ func (d *DynamicIndex) PositiveProbabilities(q Point, eps float64) ([]IndexProb,
 		return nil, err
 	}
 	if v == nil {
+		if math.IsNaN(eps) {
+			return nil, errNaNEps
+		}
 		return []IndexProb{}, nil
 	}
 	return v.PositiveProbabilities(q, eps)
@@ -644,21 +650,6 @@ func (d *DynamicIndex) ExpectedNN(q Point) (int, float64, error) {
 		return -1, 0, nil
 	}
 	return v.ExpectedNN(q)
-}
-
-// ProbabilitiesInto is Probabilities writing into buf (resized to Len(),
-// grown as needed) — the caller-buffer variant matching
-// Index.ProbabilitiesInto. The returned slice shares buf's memory and is
-// only valid until the next ProbabilitiesInto call with the same buffer.
-func (d *DynamicIndex) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
-	v, err := d.viewIndex()
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return buf[:0], nil
-	}
-	return v.ProbabilitiesInto(q, buf)
 }
 
 // Eps returns the additive query accuracy of the configured quantifier

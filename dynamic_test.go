@@ -508,6 +508,11 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	if _, err := NewDynamic(WithRandSource(rand.NewSource(1))); err == nil {
 		t.Fatal("WithRandSource accepted")
 	}
+	for _, q := range []Quantifier{MonteCarloBudget(0), MonteCarlo(0, 0.1), MonteCarlo(0.1, math.NaN()), SpiralSearch(-1)} {
+		if _, err := NewDynamic(WithQuantifier(q)); !errors.Is(err, ErrInvalidParam) {
+			t.Fatalf("NewDynamic(%+v) err = %v, want ErrInvalidParam", q, err)
+		}
+	}
 
 	d, err := NewDynamic()
 	if err != nil {
@@ -521,6 +526,9 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := d.Threshold(Pt(0, 0), math.NaN()); err == nil {
 		t.Fatal("NaN tau accepted on empty index")
+	}
+	if _, err := d.PositiveProbabilities(Pt(0, 0), math.NaN()); !errors.Is(err, ErrInvalidParam) {
+		t.Fatalf("NaN eps on empty index: %v, want ErrInvalidParam", err)
 	}
 	if i, dist, err := d.ExpectedNN(Pt(0, 0)); err != nil || i != -1 || dist != 0 {
 		t.Fatalf("empty ExpectedNN = (%d, %g, %v)", i, dist, err)

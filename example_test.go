@@ -77,9 +77,10 @@ func ExampleIndex_Threshold() {
 	// certainly above 0.3: [0]
 }
 
-// QueryBatch answers many queries concurrently with results in input
-// order, identical for every worker count.
-func ExampleIndex_QueryBatch() {
+// QueryBatchOps answers a batch of requests, each naming its own method,
+// concurrently with results in input order, identical for every worker
+// count.
+func ExampleIndex_QueryBatchOps() {
 	set, err := pnn.NewDiscreteSet([]pnn.DiscretePoint{
 		{Locations: []pnn.Point{{X: 0, Y: 0}}},
 		{Locations: []pnn.Point{{X: 10, Y: 0}}},
@@ -91,15 +92,19 @@ func ExampleIndex_QueryBatch() {
 	if err != nil {
 		panic(err)
 	}
-	queries := []pnn.Point{{X: 1, Y: 0}, {X: 9, Y: 0}}
-	results, err := idx.QueryBatch(context.Background(), queries, 8)
+	reqs := []pnn.Request{
+		{Q: pnn.Pt(1, 0), Op: pnn.OpNonzero},
+		{Q: pnn.Pt(1, 0), Op: pnn.OpProbabilities},
+		{Q: pnn.Pt(9, 0), Op: pnn.OpNonzero},
+		{Q: pnn.Pt(9, 0), Op: pnn.OpTopK, K: 1},
+	}
+	results, err := idx.QueryBatchOps(context.Background(), reqs, 8)
 	if err != nil {
 		panic(err)
 	}
-	for i, r := range results {
-		fmt.Printf("q%d: candidates %v, π %.0f\n", i, r.Nonzero, r.Probabilities)
-	}
+	fmt.Println("q0: candidates", results[0].Nonzero, "π", results[1].Probabilities)
+	fmt.Println("q1: candidates", results[2].Nonzero, "top-1", results[3].Ranked)
 	// Output:
-	// q0: candidates [0], π [1 0]
-	// q1: candidates [1], π [0 1]
+	// q0: candidates [0] π [1 0]
+	// q1: candidates [1] top-1 [{1 1}]
 }

@@ -10,7 +10,7 @@
 // pnn.Index quantifiers — the exact sweep (Eq. 2), spiral search
 // (Theorem 4.7) with its one-sided ε guarantee, and the Monte Carlo
 // estimator (Theorem 4.3). A burst of pickups is then answered as one
-// concurrent QueryBatch.
+// concurrent QueryBatchOps call.
 package main
 
 import (
@@ -119,8 +119,12 @@ func main() {
 	for i := range pickups {
 		pickups[i] = pnn.Pt(r.Float64()*1000, r.Float64()*1000)
 	}
+	reqs := make([]pnn.Request, len(pickups))
+	for i, p := range pickups {
+		reqs[i] = pnn.Request{Q: p, Op: pnn.OpNonzero}
+	}
 	start = time.Now()
-	results, err := spiralIdx.QueryBatch(context.Background(), pickups, 8)
+	results, err := spiralIdx.QueryBatchOps(context.Background(), reqs, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,8 +22,10 @@ import (
 // L∞ metric, or a V_Pr diagram over continuous points).
 var ErrUnsupported = errors.New("pnn: unsupported for this configuration")
 
-// ErrInvalidParam reports a query parameter outside its domain: a
-// negative k for TopK, or a NaN/±Inf tau for Threshold.
+// ErrInvalidParam reports a parameter outside its domain: a quantifier
+// whose eps or delta is not in (0, 1) or whose round budget is below 1,
+// a negative k for TopK, a NaN/±Inf tau for Threshold, or a NaN eps for
+// PositiveProbabilities.
 var ErrInvalidParam = errors.New("pnn: invalid query parameter")
 
 // UncertainSet is the common interface of the three uncertain-point
@@ -64,25 +66,17 @@ type Index struct {
 	// nonzero appends NN≠0(q) into dst from its start; a nil dst gets a
 	// fresh caller-owned slice.
 	nonzero func(q geom.Point, dst []int) []int
-	probs   func(Point) []float64 // nil when unsupported
-	// probsInto, when non-nil, writes π(q) into a caller buffer of
-	// length Len() instead of allocating it.
-	probsInto func(q Point, pi []float64) []float64
-	// sparseInto, when non-nil, appends the entries with π_i(q) > 0 into
-	// dst in increasing index order without ever materializing the
-	// N-length vector — the engine-native sparse answer (Monte Carlo
-	// touches ≤ s owners, spiral search m(ρ,ε) locations, the exact
-	// discrete sweep the Lemma 2.1 window). Engines without a native
-	// sparse answer leave it nil and the facade derives the same
-	// entries from the dense vector through pooled scratch.
-	sparseInto func(q Point, dst []quantify.IndexProb) []quantify.IndexProb
-	expected   func(Point) (int, float64) // nil when unsupported
+	// positive appends the entries with π_i(q) > 0 to dst (reused from
+	// its start) in increasing index order; nil when the data kind has no
+	// quantifier. Every probability query answers from it: the engines
+	// answer sparsely (Monte Carlo touches ≤ s owners, spiral search
+	// m(ρ,ε) locations, the exact discrete sweep the Lemma 2.1 window),
+	// and the natively dense V_Pr and continuous integration are filtered.
+	positive func(q geom.Point, dst []quantify.IndexProb) []quantify.IndexProb
+	expected func(Point) (int, float64) // nil when unsupported
 
-	// piScratch pools Len()-length π vectors for the dense fallbacks of
-	// the ranked/filtered queries; ipScratch pools the sparse-entry
-	// staging buffers. Both keep the steady-state query surface
-	// allocation-flat: only the caller-owned results are allocated.
-	piScratch sync.Pool
+	// ipScratch pools the entry staging buffers, so a query allocates
+	// only its caller-owned result.
 	ipScratch sync.Pool
 }
 
@@ -106,6 +100,9 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if err := cfg.quant.validate(); err != nil {
+		return nil, err
+	}
 	if !cfg.metricSet {
 		cfg.metric = data.defaultMetric()
 	}
@@ -128,11 +125,6 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := ix.n
-	ix.piScratch.New = func() any {
-		s := make([]float64, n)
-		return &s
-	}
 	ix.ipScratch.New = func() any { return new(ipBuf) }
 	return ix, nil
 }
@@ -154,27 +146,14 @@ func sortByProb(entries []quantify.IndexProb) {
 	})
 }
 
-// sparseEntries appends the entries with π_i(q) > 0 to dst in increasing
-// index order: the engine-native sparse answer when available, otherwise
-// the dense vector (through pooled scratch where the engine supports a
-// caller buffer) filtered down. Every path reports probabilities bitwise
-// identical to Probabilities(q).
-func (ix *Index) sparseEntries(q Point, dst []quantify.IndexProb) []quantify.IndexProb {
-	if ix.sparseInto != nil {
-		return ix.sparseInto(q, dst)
-	}
-	if ix.probsInto != nil {
-		bp := ix.piScratch.Get().(*[]float64)
-		pi := ix.probsInto(q, *bp)
-		dst = quantify.PositiveInto(pi, 0, dst)
-		*bp = pi
-		ix.piScratch.Put(bp)
-		return dst
-	}
-	return quantify.PositiveInto(ix.probs(q), 0, dst)
+// entries returns a pooled buffer holding the entries with π_i(q) > 0;
+// the caller hands it back with putIP.
+func (ix *Index) entries(q Point) *ipBuf {
+	b := ix.ipScratch.Get().(*ipBuf)
+	b.entries = ix.positive(toGeom(q), b.entries)
+	return b
 }
 
-func (ix *Index) getIP() *ipBuf  { return ix.ipScratch.Get().(*ipBuf) }
 func (ix *Index) putIP(b *ipBuf) { ix.ipScratch.Put(b) }
 
 func (ix *Index) rng() *rand.Rand {
@@ -182,30 +161,6 @@ func (ix *Index) rng() *rand.Rand {
 		return rand.New(ix.cfg.src)
 	}
 	return rand.New(rand.NewSource(ix.cfg.seed))
-}
-
-// useMonteCarlo wires a Monte Carlo estimator into all three probability
-// slots: dense, dense-into, and the native sparse answer (≤ s entries).
-func (ix *Index) useMonteCarlo(mc *quantify.MonteCarlo) {
-	ix.probs = func(p Point) []float64 { return mc.Estimate(toGeom(p)) }
-	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return mc.EstimateInto(toGeom(p), pi)
-	}
-	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return mc.EstimatePositiveInto(toGeom(p), dst)
-	}
-}
-
-// useSpiral wires a spiral-search estimator into all three probability
-// slots (the sparse answer touches only the m(ρ,ε) retrieved locations).
-func (ix *Index) useSpiral(sp *quantify.Spiral, eps float64) {
-	ix.probs = func(p Point) []float64 { return sp.Estimate(toGeom(p), eps) }
-	ix.probsInto = func(p Point, pi []float64) []float64 {
-		return sp.EstimateInto(toGeom(p), eps, pi)
-	}
-	ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-		return sp.EstimatePositiveInto(toGeom(p), eps, dst)
-	}
 }
 
 func (ix *Index) buildContinuous(s *ContinuousSet) error {
@@ -222,14 +177,16 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 	case quantExact:
 		// No exact algorithm exists for continuous inputs; Eq. (1) is
 		// integrated numerically (the [CKP04]-style baseline).
-		ix.probs = func(p Point) []float64 { return baseline.IntegrateAll(s.conts, toGeom(p), panels) }
+		ix.positive = func(p geom.Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return quantify.PositiveInto(baseline.IntegrateAll(s.conts, p, panels), 0, dst)
+		}
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
 		rounds := quantify.SampleCountContinuous(s.Len(), q.eps, q.delta)
-		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, rounds, ix.rng()))
+		ix.positive = quantify.NewMonteCarloContinuous(s.conts, rounds, ix.rng()).EstimatePositiveInto
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(quantify.NewMonteCarloContinuous(s.conts, q.rounds, ix.rng()))
+		ix.positive = quantify.NewMonteCarloContinuous(s.conts, q.rounds, ix.rng()).EstimatePositiveInto
 	case quantSpiral:
 		ix.eps = q.eps
 		// The Lemma 4.4 discretization adds a two-sided sampling term to
@@ -237,7 +194,9 @@ func (ix *Index) buildContinuous(s *ContinuousSet) error {
 		// certify thresholds one-sidedly; classify conservatively.
 		ix.twoSided = true
 		sc := quantify.NewSpiralContinuous(s.conts, ix.cfg.spiralSamples, ix.rng())
-		ix.useSpiral(sc.Spiral, q.eps)
+		ix.positive = func(p geom.Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return sc.EstimatePositiveInto(p, q.eps, dst)
+		}
 	case quantVPr:
 		return fmt.Errorf("pnn: VPrDiagram requires discrete points: %w", ErrUnsupported)
 	}
@@ -263,40 +222,30 @@ func (ix *Index) buildDiscrete(s *DiscreteSet) error {
 	}
 	switch q := ix.cfg.quant; q.kind {
 	case quantExact:
-		// All three slots run the Lemma 2.1 window kernel; the sparse
-		// answer never touches an N-length vector.
-		ix.probs = func(p Point) []float64 { return quantify.ExactAll(s.dists, toGeom(p)) }
-		ix.probsInto = func(p Point, pi []float64) []float64 {
-			return quantify.ExactAllInto(s.dists, toGeom(p), pi)
-		}
-		ix.sparseInto = func(p Point, dst []quantify.IndexProb) []quantify.IndexProb {
-			return quantify.ExactPositiveInto(s.dists, toGeom(p), dst)
+		// The Lemma 2.1 window kernel never touches an N-length vector.
+		ix.positive = func(p geom.Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return quantify.ExactPositiveInto(s.dists, p, dst)
 		}
 	case quantMonteCarlo:
 		ix.eps = q.eps
 		ix.twoSided = true
 		rounds := quantify.SampleCountDiscrete(s.Len(), s.K(), q.eps, q.delta)
-		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, rounds, ix.rng()))
+		ix.positive = quantify.NewMonteCarloDiscrete(s.dists, rounds, ix.rng()).EstimatePositiveInto
 	case quantMonteCarloBudget:
-		ix.useMonteCarlo(quantify.NewMonteCarloDiscrete(s.dists, q.rounds, ix.rng()))
+		ix.positive = quantify.NewMonteCarloDiscrete(s.dists, q.rounds, ix.rng()).EstimatePositiveInto
 	case quantSpiral:
 		ix.eps = q.eps
-		ix.useSpiral(quantify.NewSpiral(s.dists), q.eps)
+		sp := quantify.NewSpiral(s.dists)
+		ix.positive = func(p geom.Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return sp.EstimatePositiveInto(p, q.eps, dst)
+		}
 	case quantVPr:
 		box := geom.BBox{MinX: q.minX, MinY: q.minY, MaxX: q.maxX, MaxY: q.maxY}
 		v := quantify.NewVPr(s.dists, box)
-		// V_Pr stores one vector per diagram face; copy so callers can
-		// mutate results without corrupting the cache (and so batch
-		// results never alias each other).
-		ix.probs = func(p Point) []float64 {
-			pi := v.Query(toGeom(p))
-			out := make([]float64, len(pi))
-			copy(out, pi)
-			return out
-		}
-		ix.probsInto = func(p Point, pi []float64) []float64 {
-			pi = pi[:0]
-			return append(pi, v.Query(toGeom(p))...)
+		// V_Pr stores one vector per diagram face; reading it through the
+		// entries means no result ever aliases the cache.
+		ix.positive = func(p geom.Point, dst []quantify.IndexProb) []quantify.IndexProb {
+			return quantify.PositiveInto(v.Query(p), 0, dst)
 		}
 	}
 	ix.expected = func(p Point) (int, float64) { return quantify.ExpectedNNDiscrete(s.dists, toGeom(p)) }
@@ -351,43 +300,30 @@ func (ix *Index) NonzeroInto(q Point, buf []int) ([]int, error) {
 // configured quantifier. For approximate quantifiers the vector carries
 // the engine's documented error guarantee (see Eps).
 func (ix *Index) Probabilities(q Point) ([]float64, error) {
-	if ix.probs == nil {
+	if ix.positive == nil {
 		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
 	}
-	return ix.probs(q), nil
-}
-
-// ProbabilitiesInto is Probabilities writing into buf (resized to Len(),
-// grown as needed) — the caller-buffer variant for allocation-flat query
-// loops. The returned slice shares buf's memory and is only valid until
-// the next ProbabilitiesInto call with the same buffer.
-func (ix *Index) ProbabilitiesInto(q Point, buf []float64) ([]float64, error) {
-	if ix.probs == nil {
-		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
-	}
-	if cap(buf) < ix.n {
-		buf = make([]float64, ix.n)
-	}
-	buf = buf[:ix.n]
-	if ix.probsInto != nil {
-		return ix.probsInto(q, buf), nil
-	}
-	copy(buf, ix.probs(q))
-	return buf, nil
+	b := ix.entries(q)
+	pi := quantify.Scatter(ix.n, b.entries)
+	ix.putIP(b)
+	return pi, nil
 }
 
 // PositiveProbabilities reports only the points with π_i(q) > eps, in
-// increasing index order. This is the sparse hot path: approximate
-// engines answer it natively (Monte Carlo reports at most s entries,
-// spiral search inspects only m(ρ,ε) locations — Theorems 4.3/4.7)
-// without ever materializing the N-length vector. Negative eps is
-// treated as 0 — only strictly positive probabilities are ever reported.
+// increasing index order. The Monte Carlo, spiral and exact discrete
+// engines answer it without the N-length vector: Monte Carlo reports at
+// most s entries and spiral search inspects only m(ρ,ε) locations
+// (Theorems 4.3/4.7). Negative eps is treated as 0 — only strictly
+// positive probabilities are ever reported; a NaN eps fails with
+// ErrInvalidParam.
 func (ix *Index) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error) {
-	if ix.probs == nil {
+	if ix.positive == nil {
 		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
 	}
-	b := ix.getIP()
-	b.entries = ix.sparseEntries(q, b.entries)
+	if math.IsNaN(eps) {
+		return nil, errNaNEps
+	}
+	b := ix.entries(q)
 	n := 0
 	for _, e := range b.entries {
 		if e.P > eps {
@@ -404,6 +340,9 @@ func (ix *Index) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error
 	return out, nil
 }
 
+// errNaNEps is the error of PositiveProbabilities for a NaN eps.
+var errNaNEps = fmt.Errorf("pnn: eps must not be NaN: %w", ErrInvalidParam)
+
 // TopK returns the k most probable nearest neighbors in decreasing
 // probability order, ties broken by index — the probability-ranking
 // variant of the kNN problem surveyed in §1.2. Only points with
@@ -413,11 +352,10 @@ func (ix *Index) PositiveProbabilities(q Point, eps float64) ([]IndexProb, error
 // k < 0 fails with ErrInvalidParam, k == 0 returns an empty ranking, and
 // k > Len() clamps to the points with positive probability.
 //
-// Like PositiveProbabilities this runs on the sparse path: approximate
-// engines rank their native sparse answers and never allocate the
-// N-length vector.
+// Like PositiveProbabilities this ranks only the entries with
+// π_i(q) > 0, so it allocates only the caller-owned result.
 func (ix *Index) TopK(q Point, k int) ([]IndexProb, error) {
-	if ix.probs == nil {
+	if ix.positive == nil {
 		return nil, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
 	}
 	if k < 0 {
@@ -426,8 +364,7 @@ func (ix *Index) TopK(q Point, k int) ([]IndexProb, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	b := ix.getIP()
-	b.entries = ix.sparseEntries(q, b.entries)
+	b := ix.entries(q)
 	sortByProb(b.entries)
 	if k > len(b.entries) {
 		k = len(b.entries)
@@ -462,27 +399,23 @@ func (ix *Index) TopK(q Point, k int) ([]IndexProb, error) {
 // estimates are compared directly like an exact engine — treat its
 // Certain set as approximate.
 //
-// For tau > Eps() the classification runs on the sparse path (points
-// with π̂ = 0 can be neither Certain nor Possible there); only
-// 0 < tau ≤ Eps() needs the dense vector, which then comes from pooled
-// scratch.
+// For tau > Eps() only the entries with π̂_i(q) > 0 are classified;
+// tau ≤ Eps() makes every π̂ = 0 Possible, so the indices between the
+// entries are walked too.
 func (ix *Index) Threshold(q Point, tau float64) (ThresholdResult, error) {
-	if ix.probs == nil {
+	if ix.positive == nil {
 		return ThresholdResult{}, fmt.Errorf("pnn: no quantifier for %T: %w", ix.set, ErrUnsupported)
 	}
 	if math.IsNaN(tau) || math.IsInf(tau, 0) {
 		return ThresholdResult{}, fmt.Errorf("pnn: tau must be finite, got %g: %w", tau, ErrInvalidParam)
 	}
-	if ix.eps > 0 && tau <= ix.eps {
-		return ix.thresholdDense(q, tau), nil
-	}
 	lo := tau // π̂ threshold certifying π ≥ tau
 	if ix.twoSided {
 		lo = tau + ix.eps
 	}
+	zeroPossible := ix.eps > 0 && tau <= ix.eps
 	var res ThresholdResult
-	b := ix.getIP()
-	b.entries = ix.sparseEntries(q, b.entries)
+	b := ix.entries(q)
 	// Two passes: count, then fill exact-size slices, so the answer costs
 	// at most one allocation per non-empty class.
 	var nc, np int
@@ -494,13 +427,21 @@ func (ix *Index) Threshold(q Point, tau float64) (ThresholdResult, error) {
 			np++
 		}
 	}
+	if zeroPossible {
+		np += ix.n - len(b.entries)
+	}
 	if nc > 0 {
 		res.Certain = make([]int, 0, nc)
 	}
 	if np > 0 {
 		res.Possible = make([]int, 0, np)
 	}
+	next := 0 // the first index not yet classified
 	for _, e := range b.entries {
+		for ; zeroPossible && next < e.I; next++ {
+			res.Possible = append(res.Possible, next)
+		}
+		next = e.I + 1
 		switch {
 		case e.P >= lo:
 			res.Certain = append(res.Certain, e.I)
@@ -508,43 +449,11 @@ func (ix *Index) Threshold(q Point, tau float64) (ThresholdResult, error) {
 			res.Possible = append(res.Possible, e.I)
 		}
 	}
+	for ; zeroPossible && next < ix.n; next++ {
+		res.Possible = append(res.Possible, next)
+	}
 	ix.putIP(b)
 	return res, nil
-}
-
-// thresholdDense classifies against the full π vector (from pooled
-// scratch when the engine writes into caller buffers). It is the
-// reference the sparse branch of Threshold must agree with wherever both
-// apply, and the only branch that can report zero-estimate points as
-// Possible (which happens exactly when 0 < tau ≤ eps, or tau ≤ 0 with an
-// approximate engine).
-func (ix *Index) thresholdDense(q Point, tau float64) ThresholdResult {
-	var pi []float64
-	var bp *[]float64
-	if ix.probsInto != nil {
-		bp = ix.piScratch.Get().(*[]float64)
-		pi = ix.probsInto(q, *bp)
-	} else {
-		pi = ix.probs(q)
-	}
-	lo := tau
-	if ix.twoSided {
-		lo = tau + ix.eps
-	}
-	var res ThresholdResult
-	for i, p := range pi {
-		switch {
-		case p > 0 && p >= lo:
-			res.Certain = append(res.Certain, i)
-		case ix.eps > 0 && p+ix.eps >= tau:
-			res.Possible = append(res.Possible, i)
-		}
-	}
-	if bp != nil {
-		*bp = pi
-		ix.piScratch.Put(bp)
-	}
-	return res
 }
 
 // ExpectedNN returns the index minimizing the expected distance

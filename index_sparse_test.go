@@ -32,20 +32,30 @@ func continuousEngines() map[string][]Option {
 	}
 }
 
+func toIndexProbs(in []quantify.IndexProb) []IndexProb {
+	out := make([]IndexProb, len(in))
+	for i, ip := range in {
+		out[i] = IndexProb{Index: ip.I, Prob: ip.P}
+	}
+	return out
+}
+
 // denseTopK is the pre-sparse-path reference: rank the full vector.
 func denseTopK(ix *Index, q Point, k int) []IndexProb {
-	return toIndexProbs(quantify.TopK(ix.probs(q), k))
+	pi, _ := ix.Probabilities(q)
+	return toIndexProbs(quantify.TopK(pi, k))
 }
 
 // densePositive is the pre-sparse-path reference for PositiveProbabilities.
 func densePositive(ix *Index, q Point, eps float64) []IndexProb {
-	return toIndexProbs(quantify.Positive(ix.probs(q), eps))
+	pi, _ := ix.Probabilities(q)
+	return toIndexProbs(quantify.PositiveInto(pi, eps, nil))
 }
 
 // denseThreshold is the reference classification over the full vector,
 // with the zero-probability fix applied (π̂ = 0 is never Certain).
 func denseThreshold(ix *Index, q Point, tau float64) ThresholdResult {
-	pi := ix.probs(q)
+	pi, _ := ix.Probabilities(q)
 	lo := tau
 	if ix.twoSided {
 		lo = tau + ix.eps
@@ -74,11 +84,12 @@ func sameIP(a, b []IndexProb) bool {
 	return true
 }
 
-// TestSparseMatchesDenseProperty is the equivalence property of the
-// sparse hot path: TopK, Threshold, and PositiveProbabilities answered
-// through the engines' sparse reports must be identical — same indices,
-// same probabilities (bitwise), same order — to the dense N-length-vector
-// path, across seeds, engines, and set kinds.
+// TestSparseMatchesDenseProperty is the equivalence property of the one
+// probability path: TopK, Threshold, and PositiveProbabilities answered
+// from the engines' positive entries must be identical — same indices,
+// same probabilities (bitwise), same order — to ranking, filtering and
+// classifying the Probabilities vector, across seeds, engines, and set
+// kinds.
 func TestSparseMatchesDenseProperty(t *testing.T) {
 	type setCase struct {
 		name    string
@@ -492,8 +503,8 @@ func TestResultsAreCallerOwned(t *testing.T) {
 	}
 }
 
-// TestIntoVariants: the caller-buffer query forms must reuse the buffer
-// when it is large enough and agree exactly with the allocating forms.
+// TestIntoVariants: the caller-buffer query form must reuse the buffer
+// when it is large enough and agree exactly with the allocating form.
 func TestIntoVariants(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	set, err := NewDiscreteSet(randomDiscretePoints(r, 15, 3))
@@ -505,23 +516,9 @@ func TestIntoVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		piBuf := make([]float64, idx.Len())
 		nzBuf := make([]int, 0, idx.Len())
 		for trial := 0; trial < 10; trial++ {
 			q := Pt(r.Float64()*100, r.Float64()*100)
-
-			want, _ := idx.Probabilities(q)
-			got, err := idx.ProbabilitiesInto(q, piBuf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: ProbabilitiesInto disagrees with Probabilities", name)
-			}
-			if len(piBuf) > 0 && &got[0] != &piBuf[0] {
-				t.Fatalf("%s: ProbabilitiesInto did not reuse the buffer", name)
-			}
-
 			wantNZ, _ := idx.Nonzero(q)
 			gotNZ, err := idx.NonzeroInto(q, nzBuf)
 			if err != nil {
@@ -534,15 +531,6 @@ func TestIntoVariants(t *testing.T) {
 				t.Fatalf("%s: NonzeroInto did not reuse the buffer", name)
 			}
 		}
-	}
-	// A short buffer must be grown, not overrun.
-	idx, err := New(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := idx.ProbabilitiesInto(Pt(1, 1), make([]float64, 2))
-	if err != nil || len(got) != idx.Len() {
-		t.Fatalf("ProbabilitiesInto(short buf) len = %d, err %v", len(got), err)
 	}
 }
 

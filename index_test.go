@@ -132,7 +132,8 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := mcIdx.Probabilities(q)
-	want := quantify.NewMonteCarloDiscrete(set.dists, 1500, rand.New(rand.NewSource(9))).Estimate(toGeom(q))
+	mc := quantify.NewMonteCarloDiscrete(set.dists, 1500, rand.New(rand.NewSource(9)))
+	want := quantify.Scatter(set.Len(), mc.EstimatePositiveInto(toGeom(q), nil))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("MonteCarloBudget disagrees with the seeded estimator")
 	}
@@ -142,7 +143,7 @@ func TestIndexQuantifiersMatchLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ = spIdx.Probabilities(q)
-	want = quantify.NewSpiral(set.dists).Estimate(toGeom(q), 0.05)
+	want = quantify.Scatter(set.Len(), quantify.NewSpiral(set.dists).EstimatePositiveInto(toGeom(q), 0.05, nil))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("SpiralSearch disagrees with the spiral structure")
 	}
@@ -199,8 +200,9 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 		}
 	}
 
-	// Spiral threshold: one-sided classification matches the spiral
-	// structure's own.
+	// Spiral threshold: the one-sided classification of the spiral
+	// structure's own estimates, π̂ ≥ tau certain and π̂ < tau ≤ π̂ + ε
+	// possible.
 	spIdx, err := New(set, WithQuantifier(SpiralSearch(0.05)))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +211,16 @@ func TestIndexTopKAndThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := quantify.NewSpiral(set.dists).Threshold(toGeom(q), 0.25, 0.05)
+	var want ThresholdResult
+	sp := quantify.NewSpiral(set.dists)
+	for i, p := range quantify.Scatter(set.Len(), sp.EstimatePositiveInto(toGeom(q), 0.05, nil)) {
+		switch {
+		case p >= 0.25:
+			want.Certain = append(want.Certain, i)
+		case p+0.05 >= 0.25:
+			want.Possible = append(want.Possible, i)
+		}
+	}
 	if !reflect.DeepEqual(got.Certain, want.Certain) || !reflect.DeepEqual(got.Possible, want.Possible) {
 		t.Fatalf("spiral threshold %+v vs structure %+v", got, want)
 	}
@@ -289,6 +300,27 @@ func TestIndexOptionValidation(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil set must be rejected")
 	}
+	// Quantifier parameters outside their domain fail at construction,
+	// before anything is built.
+	nan := math.NaN()
+	for _, q := range []Quantifier{
+		MonteCarloBudget(-1), MonteCarloBudget(0),
+		MonteCarlo(0, 0.1), MonteCarlo(0.1, 0), MonteCarlo(nan, 0.1), MonteCarlo(0.1, nan), MonteCarlo(1, 0.1),
+		SpiralSearch(0), SpiralSearch(-1), SpiralSearch(1), SpiralSearch(nan),
+	} {
+		for _, set := range []UncertainSet{dset, cset} {
+			if _, err := New(set, WithQuantifier(q)); !errors.Is(err, ErrInvalidParam) {
+				t.Fatalf("New(%T, %+v) err = %v, want ErrInvalidParam", set, q, err)
+			}
+		}
+	}
+	idx, err := New(dset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.PositiveProbabilities(Pt(1, 1), nan); !errors.Is(err, ErrInvalidParam) {
+		t.Fatalf("PositiveProbabilities(eps=NaN) err = %v, want ErrInvalidParam", err)
+	}
 }
 
 // Indexes built with the same seed answer identically; different seeds
@@ -323,72 +355,8 @@ func TestIndexSeedDeterminism(t *testing.T) {
 	}
 }
 
-func TestQueryBatchDeterministicAcrossWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(27))
-	set, err := NewDiscreteSet(randomDiscretePoints(r, 10, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := New(set, WithQuantifier(MonteCarloBudget(500)), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]Point, 64)
-	for i := range qs {
-		qs[i] = Pt(r.Float64()*100, r.Float64()*100)
-	}
-	ref, err := idx.QueryBatch(context.Background(), qs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != len(qs) {
-		t.Fatalf("got %d results", len(ref))
-	}
-	for _, workers := range []int{2, 8, 0} {
-		got, err := idx.QueryBatch(context.Background(), qs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d results differ from workers=1", workers)
-		}
-	}
-	// Results match single-query answers in input order.
-	for i, q := range qs[:8] {
-		nz, _ := idx.Nonzero(q)
-		if !slices.Equal(ref[i].Nonzero, nz) {
-			t.Fatalf("batch result %d out of order", i)
-		}
-	}
-}
-
-func TestQueryBatchCancellation(t *testing.T) {
-	r := rand.New(rand.NewSource(28))
-	set, err := NewDiscreteSet(randomDiscretePoints(r, 10, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := New(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	qs := make([]Point, 1000)
-	for i := range qs {
-		qs[i] = Pt(r.Float64()*100, r.Float64()*100)
-	}
-	if _, err := idx.QueryBatch(ctx, qs, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled batch must return context.Canceled, got %v", err)
-	}
-	// Empty input is a no-op even without cancellation.
-	res, err := idx.QueryBatch(context.Background(), nil, 4)
-	if err != nil || res != nil {
-		t.Fatalf("empty batch: %v %v", res, err)
-	}
-}
-
-// Square sets flow through QueryBatch with nil probability vectors.
+// Square sets answer NN≠0 through QueryBatchOps and no probability
+// vector.
 func TestQueryBatchSquare(t *testing.T) {
 	set, err := NewSquareSet([]SquarePoint{
 		{Center: Pt(0, 0), R: 1},
@@ -401,14 +369,18 @@ func TestQueryBatchSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := idx.QueryBatch(context.Background(), []Point{{X: 0, Y: 0}, {X: 5, Y: 0}}, 2)
+	res, err := idx.QueryBatchOps(context.Background(), []Request{
+		{Q: Pt(0, 0), Op: OpNonzero},
+		{Q: Pt(0, 0), Op: OpProbabilities},
+		{Q: Pt(5, 0), Op: OpNonzero},
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Probabilities != nil {
-		t.Fatal("square batch must not carry probabilities")
+	if res[1].Probabilities != nil || !errors.Is(res[1].Err, ErrUnsupported) {
+		t.Fatalf("square batch carried probabilities %v, err %v", res[1].Probabilities, res[1].Err)
 	}
-	if !slices.Equal(res[0].Nonzero, []int{0}) {
-		t.Fatalf("res[0] = %v", res[0].Nonzero)
+	if !slices.Equal(res[0].Nonzero, []int{0}) || !slices.Equal(res[2].Nonzero, []int{0, 1}) {
+		t.Fatalf("nonzero = %v, %v", res[0].Nonzero, res[2].Nonzero)
 	}
 }

@@ -41,17 +41,10 @@ func Flatten(pts []*dist.Discrete) []Location {
 
 // ExactAll returns π_i(q) for every uncertain point by evaluating Eq. (2)
 // over the Lemma 2.1 window of q (see ExactPositiveInto): O(N) to find
-// the window plus O(m log m) to sweep its m locations.
+// the window plus O(m log m) to sweep its m locations. The window's
+// owners are scattered into a zeroed vector; the sweep scratch is pooled.
 func ExactAll(pts []*dist.Discrete, q geom.Point) []float64 {
-	return ExactAllInto(pts, q, make([]float64, len(pts)))
-}
-
-// ExactAllInto is ExactAll writing the probability vector into pi, which
-// must have length len(pts): pi is zeroed and the window's owners are
-// scattered into it. The sweep scratch is pooled.
-func ExactAllInto(pts []*dist.Discrete, q geom.Point, pi []float64) []float64 {
-	pi = pi[:len(pts)]
-	clear(pi)
+	pi := make([]float64, len(pts))
 	sc := windowPool.Get().(*windowScratch)
 	sc.sweep(pts, q)
 	for id, p := range sc.pi {
@@ -155,7 +148,18 @@ func (sc *windowScratch) sweep(pts []*dist.Discrete, q geom.Point) {
 // Section 4.3 calls it with the m nearest locations only). n is the number
 // of owners.
 func ExactSubset(locs []Location, n int, q geom.Point) []float64 {
-	return ExactSubsetInto(locs, n, q, make([]float64, n))
+	recs := make([]subsetRec, len(locs))
+	for i, l := range locs {
+		recs[i] = subsetRec{d2: l.P.Dist2(q), Location: l}
+	}
+	sortRecs(recs)
+	pi := make([]float64, n)
+	factor := make([]float64, n) // 1 − G_{q,j}(current distance)
+	for j := range factor {
+		factor[j] = 1
+	}
+	sweepRecs(recs, pi, factor, nil)
+	return pi
 }
 
 // subsetRec is one location tagged with its squared query distance.
@@ -248,25 +252,6 @@ func sweepRecs(recs []subsetRec, pi, factor []float64, left []int) {
 	}
 }
 
-// ExactSubsetInto is ExactSubset writing into pi (length n).
-func ExactSubsetInto(locs []Location, n int, q geom.Point, pi []float64) []float64 {
-	pi = pi[:n]
-	for i := range pi {
-		pi[i] = 0
-	}
-	recs := make([]subsetRec, len(locs))
-	for i, l := range locs {
-		recs[i] = subsetRec{d2: l.P.Dist2(q), Location: l}
-	}
-	sortRecs(recs)
-	factor := make([]float64, n) // 1 − G_{q,j}(current distance)
-	for j := range factor {
-		factor[j] = 1
-	}
-	sweepRecs(recs, pi, factor, nil)
-	return pi
-}
-
 // sparseScratch is the pooled working set of ExactSubsetPositiveInto:
 // everything the compact sweep needs, sized by the subset (m locations,
 // at most m distinct owners), never by the full point count.
@@ -285,7 +270,7 @@ var sparsePool = sync.Pool{New: func() any {
 // ExactSubsetPositiveInto evaluates Eq. (2) restricted to locs and
 // appends the owners with positive probability to dst (reused from its
 // start) in increasing owner order. It is the sparse form of
-// ExactSubsetInto: owners are remapped to a compact range first, so the
+// ExactSubset: owners are remapped to a compact range first, so the
 // sweep allocates O(m) scratch (pooled) instead of O(n), and the
 // reported values are bitwise identical to the dense sweep's.
 func ExactSubsetPositiveInto(locs []Location, q geom.Point, dst []IndexProb) []IndexProb {
@@ -353,13 +338,9 @@ func exactNaive(locs []Location, n int, q geom.Point) []float64 {
 	return pi
 }
 
-// Positive filters a probability vector into (index, value) pairs with
-// value > eps, the report format of the PNN problem.
-func Positive(pi []float64, eps float64) []IndexProb {
-	return PositiveInto(pi, eps, nil)
-}
-
-// PositiveInto is Positive appending into dst (reused from its start).
+// PositiveInto filters a probability vector into (index, value) pairs
+// with value > eps, the report format of the PNN problem, appending them
+// to dst (reused from its start).
 func PositiveInto(pi []float64, eps float64, dst []IndexProb) []IndexProb {
 	dst = dst[:0]
 	for i, p := range pi {
@@ -368,6 +349,16 @@ func PositiveInto(pi []float64, eps float64, dst []IndexProb) []IndexProb {
 		}
 	}
 	return dst
+}
+
+// Scatter is the dense form of a report: an n-vector holding each
+// entry's probability at its index and zeros elsewhere.
+func Scatter(n int, entries []IndexProb) []float64 {
+	pi := make([]float64, n)
+	for _, e := range entries {
+		pi[e.I] = e.P
+	}
+	return pi
 }
 
 // TopK returns the k largest probabilities as (index, value) pairs in

@@ -78,43 +78,13 @@ func ExpectedNNContinuous(pts []dist.Continuous, q geom.Point, panels int) (int,
 	return best, bd
 }
 
-// Threshold queries — the [DYM+05] variant from Section 1.2: report every
-// point whose quantification probability meets a threshold τ. Built on
-// spiral search, the one-sided guarantee π̂ ≤ π ≤ π̂ + ε certifies
-// membership classes without exact computation.
-
-// ThresholdResult classifies points against a probability threshold.
-type ThresholdResult struct {
-	// Certain are indices with π̂_i ≥ τ, hence certainly π_i ≥ τ.
-	Certain []int
-	// Possible are indices with π̂_i < τ ≤ π̂_i + ε: the estimator cannot
-	// decide at this ε; callers can re-query with smaller ε or fall back
-	// to the exact sweep for just these.
-	Possible []int
-}
-
-// Threshold reports all points with π_i(q) ≥ tau, classified into certain
-// and undecidable-at-ε, in one spiral query.
-func (s *Spiral) Threshold(q geom.Point, tau, eps float64) ThresholdResult {
-	pi := s.Estimate(q, eps)
-	var res ThresholdResult
-	for i, p := range pi {
-		switch {
-		case p >= tau:
-			res.Certain = append(res.Certain, i)
-		case p+eps >= tau:
-			res.Possible = append(res.Possible, i)
-		}
-	}
-	return res
-}
-
 // SpiralContinuous extends spiral search to continuous distributions —
 // open problem (iii) of the paper — by the discretization route of
 // Lemma 4.4: sample m locations from each pdf (uniform weights), then run
 // the discrete machinery. With m = k(α) samples per point the additional
-// error is at most nα with probability 1 − δ', so Estimate's total error
-// bound becomes ε + nα one-sided-ish (the sampling error is two-sided).
+// error is at most nα with probability 1 − δ', so the estimates' total
+// error bound becomes ε + nα one-sided-ish (the sampling error is
+// two-sided).
 type SpiralContinuous struct {
 	*Spiral
 	// SamplesPerPoint is the m used in the discretization.

@@ -81,34 +81,6 @@ func TestExpectedVsProbabilityDivergence(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	pts := randomPts(r, 8, 3, 40, 5)
-	sp := NewSpiral(pts)
-	q := geom.Pt(20, 20)
-	eps := 0.05
-	tau := 0.2
-	res := sp.Threshold(q, tau, eps)
-	exact := ExactAll(pts, q)
-	certain := map[int]bool{}
-	for _, i := range res.Certain {
-		certain[i] = true
-		if exact[i] < tau-1e-9 {
-			t.Fatalf("certain index %d has π=%v < τ=%v", i, exact[i], tau)
-		}
-	}
-	possible := map[int]bool{}
-	for _, i := range res.Possible {
-		possible[i] = true
-	}
-	// Completeness: every point with π ≥ τ is certain or possible.
-	for i, p := range exact {
-		if p >= tau && !certain[i] && !possible[i] {
-			t.Fatalf("point %d with π=%v ≥ τ missed entirely", i, p)
-		}
-	}
-}
-
 func TestSpiralContinuous(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	// Two symmetric disks: π ≈ 1/2 each at the midpoint.
@@ -120,12 +92,12 @@ func TestSpiralContinuous(t *testing.T) {
 	if sp.SamplesPerPoint != 400 {
 		t.Fatalf("samples %d", sp.SamplesPerPoint)
 	}
-	pi := sp.Estimate(geom.Pt(5, 0.01), 0.01)
+	pi := Scatter(len(cs), sp.EstimatePositiveInto(geom.Pt(5, 0.01), 0.01, nil))
 	if math.Abs(pi[0]-0.5) > 0.06 || math.Abs(pi[1]-0.5) > 0.06 {
 		t.Fatalf("π̂ = %v want ≈ [0.5, 0.5]", pi)
 	}
 	// A query inside one support: that point dominates.
-	pi = sp.Estimate(geom.Pt(0, 0), 0.01)
+	pi = Scatter(len(cs), sp.EstimatePositiveInto(geom.Pt(0, 0), 0.01, nil))
 	if pi[0] < 0.9 {
 		t.Fatalf("π̂_0 = %v want ≈ 1", pi[0])
 	}

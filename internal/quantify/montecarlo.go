@@ -21,7 +21,6 @@ import (
 // structure; the kd-tree used here answers the same NN query exactly, in
 // logarithmic expected time rather than the diagram's worst-case bound.
 type MonteCarlo struct {
-	n      int
 	rounds []*kdtree.Tree
 }
 
@@ -92,7 +91,7 @@ func NewMonteCarloContinuous(pts []dist.Continuous, s int, r *rand.Rand) *MonteC
 }
 
 func newMonteCarlo(pts []Instantiator, s int, r *rand.Rand) *MonteCarlo {
-	mc := &MonteCarlo{n: len(pts), rounds: make([]*kdtree.Tree, s)}
+	mc := &MonteCarlo{rounds: make([]*kdtree.Tree, s)}
 	items := make([]kdtree.Item, len(pts))
 	for j := 0; j < s; j++ {
 		for i, p := range pts {
@@ -105,34 +104,6 @@ func newMonteCarlo(pts []Instantiator, s int, r *rand.Rand) *MonteCarlo {
 
 // Rounds returns the number of stored instantiations.
 func (mc *MonteCarlo) Rounds() int { return len(mc.rounds) }
-
-// Estimate returns π̂_i(q) for all i in O(s log n) time. At most s entries
-// are nonzero.
-func (mc *MonteCarlo) Estimate(q geom.Point) []float64 {
-	pi := make([]float64, mc.n)
-	return mc.EstimateInto(q, pi)
-}
-
-// EstimateInto is Estimate writing into pi (length n). Counting goes
-// through the pooled sparse tally, so beyond pi itself a warm call
-// allocates nothing.
-func (mc *MonteCarlo) EstimateInto(q geom.Point, pi []float64) []float64 {
-	pi = pi[:mc.n]
-	for i := range pi {
-		pi[i] = 0
-	}
-	if len(mc.rounds) == 0 {
-		return pi
-	}
-	sc := mcPool.Get().(*mcScratch)
-	mc.tally(q, sc)
-	inv := 1 / float64(len(mc.rounds))
-	for _, i := range sc.hit {
-		pi[i] = float64(sc.counts[i]) * inv
-	}
-	mcPool.Put(sc)
-	return pi
-}
 
 // mcScratch is the pooled per-query tally: at most s owners are hit per
 // query, so tracking the hit set keeps work and clearing O(s), not O(n).
@@ -160,21 +131,12 @@ func (mc *MonteCarlo) tally(q geom.Point, sc *mcScratch) {
 	}
 }
 
-// EstimatePositive returns only the indices with π̂_i(q) > 0 — at most s of
-// them, the output-size bound the paper notes.
-func (mc *MonteCarlo) EstimatePositive(q geom.Point) []IndexProb {
-	return mc.EstimatePositiveInto(q, nil)
-}
-
-// EstimatePositiveInto is EstimatePositive appending into dst (reused
-// from its start) in increasing index order. The sparse hot path of the
-// estimator: no N-length vector is materialized, and the reported
-// probabilities are bitwise identical to Estimate's nonzero entries.
+// EstimatePositiveInto appends the indices with π̂_i(q) > 0 to dst
+// (reused from its start) in increasing index order, in O(s log n) time.
+// At most s of them are positive, the output-size bound the paper notes,
+// so no N-length vector is materialized.
 func (mc *MonteCarlo) EstimatePositiveInto(q geom.Point, dst []IndexProb) []IndexProb {
 	dst = dst[:0]
-	if len(mc.rounds) == 0 {
-		return dst
-	}
 	sc := mcPool.Get().(*mcScratch)
 	mc.tally(q, sc)
 	inv := 1 / float64(len(mc.rounds))

@@ -139,7 +139,7 @@ func TestExactSweepAgainstNaive(t *testing.T) {
 }
 
 func TestPositiveFilter(t *testing.T) {
-	out := Positive([]float64{0, 0.5, 1e-12, 0.3}, 1e-9)
+	out := PositiveInto([]float64{0, 0.5, 1e-12, 0.3}, 1e-9, nil)
 	if len(out) != 2 || out[0].I != 1 || out[1].I != 3 {
 		t.Fatalf("positive filter: %+v", out)
 	}
@@ -155,7 +155,7 @@ func TestMonteCarloConvergence(t *testing.T) {
 	// than the theorem's union bound but correct for a fixed q.
 	s := int(math.Ceil(math.Log(2*6/0.01) / (2 * eps * eps)))
 	mc := NewMonteCarloDiscrete(pts, s, r)
-	got := mc.Estimate(q)
+	got := Scatter(len(pts), mc.EstimatePositiveInto(q, nil))
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > eps {
 			t.Fatalf("π_%d: MC %v exact %v (ε=%v, s=%d)", i, got[i], want[i], eps, s)
@@ -167,7 +167,7 @@ func TestMonteCarloEstimateSumsToOne(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	pts := randomPts(r, 5, 2, 20, 3)
 	mc := NewMonteCarloDiscrete(pts, 500, r)
-	pi := mc.Estimate(geom.Pt(5, 5))
+	pi := Scatter(len(pts), mc.EstimatePositiveInto(geom.Pt(5, 5), nil))
 	sum := 0.0
 	nonzero := 0
 	for _, p := range pi {
@@ -192,12 +192,12 @@ func TestMonteCarloContinuous(t *testing.T) {
 		dist.UniformDisk{D: geom.Dsk(10, 0, 1)},
 	}
 	mc := NewMonteCarloContinuous(ps, 4000, r)
-	pi := mc.Estimate(geom.Pt(5, 0))
+	pi := Scatter(len(ps), mc.EstimatePositiveInto(geom.Pt(5, 0), nil))
 	if math.Abs(pi[0]-0.5) > 0.05 || math.Abs(pi[1]-0.5) > 0.05 {
 		t.Fatalf("π̂ = %v want ≈ [0.5, 0.5]", pi)
 	}
 	// A query at the left disk's center is certain.
-	pi = mc.Estimate(geom.Pt(0, 0))
+	pi = Scatter(len(ps), mc.EstimatePositiveInto(geom.Pt(0, 0), nil))
 	if pi[0] < 0.999 {
 		t.Fatalf("π̂_0 = %v want 1", pi[0])
 	}
@@ -228,7 +228,7 @@ func TestSpiralOneSidedError(t *testing.T) {
 		eps := []float64{0.3, 0.1, 0.02}[trial%3]
 		q := geom.Pt(r.Float64()*50-5, r.Float64()*50-5)
 		want := ExactAll(pts, q)
-		got := sp.Estimate(q, eps)
+		got := Scatter(n, sp.EstimatePositiveInto(q, eps, nil))
 		for i := range want {
 			if got[i] > want[i]+1e-9 {
 				t.Fatalf("trial %d: π̂_%d = %v exceeds π_%d = %v", trial, i, got[i], i, want[i])
@@ -257,7 +257,7 @@ func TestSpiralRetrievalSize(t *testing.T) {
 		t.Fatal("m must be capped at N")
 	}
 	// Positive estimates are bounded by the number of owners touched.
-	out := sp.EstimatePositive(geom.Pt(50, 50), 0.1)
+	out := sp.EstimatePositiveInto(geom.Pt(50, 50), 0.1, nil)
 	if len(out) > sp.M(0.1) {
 		t.Fatalf("more positive estimates (%d) than retrieved locations (%d)", len(out), sp.M(0.1))
 	}
@@ -303,7 +303,7 @@ func TestSpiralAdversarialLightweights(t *testing.T) {
 
 	// Spiral: one-sided bound and ranking preserved.
 	sp := NewSpiral(pts)
-	got := sp.Estimate(q, eps)
+	got := Scatter(len(pts), sp.EstimatePositiveInto(q, eps, nil))
 	for i := range exact {
 		if got[i] > exact[i]+1e-9 || exact[i] > got[i]+eps+1e-9 {
 			t.Fatalf("spiral bound violated at %d: π̂=%v π=%v ε=%v", i, got[i], exact[i], eps)
@@ -385,9 +385,10 @@ func BenchmarkSpiralQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(11))
 	pts := randomPts(r, 1000, 5, 1000, 5)
 	sp := NewSpiral(pts)
+	var buf []IndexProb
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Estimate(geom.Pt(500, 500), 0.05)
+		buf = sp.EstimatePositiveInto(geom.Pt(500, 500), 0.05, buf)
 	}
 }
 
@@ -395,9 +396,10 @@ func BenchmarkMonteCarloQuery(b *testing.B) {
 	r := rand.New(rand.NewSource(12))
 	pts := randomPts(r, 1000, 4, 1000, 5)
 	mc := NewMonteCarloDiscrete(pts, 400, r)
+	var buf []IndexProb
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mc.Estimate(geom.Pt(500, 500))
+		buf = mc.EstimatePositiveInto(geom.Pt(500, 500), buf)
 	}
 }
 
@@ -408,8 +410,8 @@ func TestSpiralQuadtreeBackendAgrees(t *testing.T) {
 	qt := NewSpiralQuadtree(pts)
 	for probe := 0; probe < 50; probe++ {
 		q := geom.Pt(r.Float64()*90-5, r.Float64()*90-5)
-		a := kd.Estimate(q, 0.05)
-		b := qt.Estimate(q, 0.05)
+		a := Scatter(len(pts), kd.EstimatePositiveInto(q, 0.05, nil))
+		b := Scatter(len(pts), qt.EstimatePositiveInto(q, 0.05, nil))
 		// Both retrieve the m nearest locations; ties at the m-th distance
 		// may differ, so compare against the one-sided bound rather than
 		// exact equality.
@@ -445,13 +447,15 @@ func BenchmarkSpiralBackends(b *testing.B) {
 	qt := NewSpiralQuadtree(pts)
 	q := geom.Pt(500, 500)
 	b.Run("kdtree", func(b *testing.B) {
+		var buf []IndexProb
 		for i := 0; i < b.N; i++ {
-			kd.Estimate(q, 0.05)
+			buf = kd.EstimatePositiveInto(q, 0.05, buf)
 		}
 	})
 	b.Run("quadtree", func(b *testing.B) {
+		var buf []IndexProb
 		for i := 0; i < b.N; i++ {
-			qt.Estimate(q, 0.05)
+			buf = qt.EstimatePositiveInto(q, 0.05, buf)
 		}
 	})
 }

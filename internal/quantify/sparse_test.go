@@ -1,9 +1,13 @@
 package quantify
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"pnn/internal/dist"
 	"pnn/internal/geom"
 	"pnn/internal/workload"
 )
@@ -13,7 +17,7 @@ import (
 // order, bitwise-equal probabilities.
 func requireSparseMatchesDense(t *testing.T, sparse []IndexProb, dense []float64) {
 	t.Helper()
-	want := Positive(dense, 0)
+	want := PositiveInto(dense, 0, nil)
 	if len(sparse) != len(want) {
 		t.Fatalf("sparse has %d entries, dense has %d positive", len(sparse), len(want))
 	}
@@ -57,41 +61,90 @@ func TestExactSubsetPositiveTies(t *testing.T) {
 	requireSparseMatchesDense(t, ExactSubsetPositiveInto(locs, q, nil), ExactSubset(locs, len(pts), q))
 }
 
+// The Monte Carlo report must equal a brute-force tally over the same
+// instantiations, which replaying the construction's draws reproduces
+// (rounds in order, one draw per point in index order).
 func TestMonteCarloSparseMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pts := workload.RandomDiscrete(r, 25, 4, 60, 5, 2)
-	mc := NewMonteCarloDiscrete(pts, 150, r)
+	const rounds = 150
+	mc := NewMonteCarloDiscrete(pts, rounds, rand.New(rand.NewSource(11)))
+	replay := rand.New(rand.NewSource(11))
+	insts := make([][]geom.Point, rounds)
+	for j := range insts {
+		insts[j] = make([]geom.Point, len(pts))
+		for i, p := range pts {
+			insts[j][i] = p.SamplePoint(replay)
+		}
+	}
+	inv := 1 / float64(rounds)
 	var buf []IndexProb
-	pi := make([]float64, len(pts))
 	for _, q := range workload.QueryPoints(r, 40, workload.DiscreteBBox(pts)) {
-		dense := mc.Estimate(q)
+		counts := make([]int, len(pts))
+		for _, inst := range insts {
+			best := 0
+			for i, p := range inst {
+				if p.Dist2(q) < inst[best].Dist2(q) {
+					best = i
+				}
+			}
+			counts[best]++
+		}
+		dense := make([]float64, len(pts))
+		for i, c := range counts {
+			dense[i] = float64(c) * inv
+		}
 		buf = mc.EstimatePositiveInto(q, buf)
 		requireSparseMatchesDense(t, buf, dense)
-		pi = mc.EstimateInto(q, pi)
-		for i := range dense {
-			if pi[i] != dense[i] {
-				t.Fatalf("EstimateInto[%d] = %v, Estimate = %v", i, pi[i], dense[i])
-			}
-		}
 	}
 }
 
+// The spiral report must equal the dense subset sweep over the m(ρ,ε)
+// nearest locations found by sorting all of them.
 func TestSpiralSparseMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	pts := workload.RandomDiscrete(r, 40, 4, 80, 4, 4)
 	sp := NewSpiral(pts)
+	locs := Flatten(pts)
 	var buf []IndexProb
-	pi := make([]float64, len(pts))
 	for _, eps := range []float64{0.2, 0.05, 0.01} {
 		for _, q := range workload.QueryPoints(r, 30, workload.DiscreteBBox(pts)) {
-			dense := sp.Estimate(q, eps)
+			near := slices.Clone(locs)
+			slices.SortStableFunc(near, func(a, b Location) int { return cmp.Compare(a.P.Dist2(q), b.P.Dist2(q)) })
+			dense := ExactSubset(near[:sp.M(eps)], len(pts), q)
 			buf = sp.EstimatePositiveInto(q, eps, buf)
 			requireSparseMatchesDense(t, buf, dense)
-			pi = sp.EstimateInto(q, eps, pi)
-			for i := range dense {
-				if pi[i] != dense[i] {
-					t.Fatalf("EstimateInto[%d] = %v, Estimate = %v", i, pi[i], dense[i])
-				}
+		}
+	}
+}
+
+// A weight spread near 1e18 puts ⌈ρk·ln(ρ/ε)⌉ past the int range. M must
+// still cap at N, so the estimates keep Theorem 4.7's one-sided bound
+// π̂ ≤ π ≤ π̂ + ε.
+func TestSpiralLargeSpread(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	pts := make([]*dist.Discrete, 40)
+	for i := range pts {
+		c := geom.Pt(r.Float64()*100, r.Float64()*100)
+		locs := []geom.Point{c, c.Add(geom.Dir(r.Float64() * 2 * math.Pi).Scale(1 + r.Float64()*5))}
+		w := []float64{0.5, 0.5}
+		if i == 0 {
+			w = []float64{1e-18, 1 - 1e-18}
+		}
+		pts[i] = mustDiscrete(t, locs, w)
+	}
+	sp := NewSpiral(pts)
+	const eps = 0.05
+	if m := sp.M(eps); m != 80 {
+		t.Fatalf("M(%g) = %d at ρ = %g, want all 80 locations", eps, m, sp.Rho())
+	}
+	for probe := 0; probe < 200; probe++ {
+		q := geom.Pt(r.Float64()*110-5, r.Float64()*110-5)
+		exact := ExactAll(pts, q)
+		got := Scatter(len(pts), sp.EstimatePositiveInto(q, eps, nil))
+		for i := range exact {
+			if got[i] > exact[i]+1e-9 || exact[i] > got[i]+eps+1e-9 {
+				t.Fatalf("q=%v: π̂_%d = %v, π = %v (ε=%g)", q, i, got[i], exact[i], eps)
 			}
 		}
 	}
@@ -123,44 +176,12 @@ func TestSpiralBackendsAgree(t *testing.T) {
 	kd := NewSpiral(pts)
 	qt := NewSpiralQuadtree(pts)
 	for _, q := range workload.QueryPoints(r, 25, workload.DiscreteBBox(pts)) {
-		a := kd.Estimate(q, 0.05)
-		b := qt.Estimate(q, 0.05)
+		a := Scatter(len(pts), kd.EstimatePositiveInto(q, 0.05, nil))
+		b := Scatter(len(pts), qt.EstimatePositiveInto(q, 0.05, nil))
 		for i := range a {
 			if diff := a[i] - b[i]; diff > 1e-12 || diff < -1e-12 {
 				t.Fatalf("kd and quadtree spiral disagree at %d: %v vs %v", i, a[i], b[i])
 			}
 		}
 	}
-}
-
-func BenchmarkSparseVsDense(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	pts := workload.RandomDiscrete(r, 2000, 3, 500, 4, 2)
-	sp := NewSpiral(pts)
-	mc := NewMonteCarloDiscrete(pts, 100, r)
-	qs := workload.QueryPoints(r, 128, workload.DiscreteBBox(pts))
-	q := func(i int) geom.Point { return qs[i%len(qs)] }
-
-	b.Run("spiral-dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sp.Estimate(q(i), 0.05)
-		}
-	})
-	b.Run("spiral-sparse", func(b *testing.B) {
-		var buf []IndexProb
-		for i := 0; i < b.N; i++ {
-			buf = sp.EstimatePositiveInto(q(i), 0.05, buf)
-		}
-	})
-	b.Run("mc-dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mc.Estimate(q(i))
-		}
-	})
-	b.Run("mc-sparse", func(b *testing.B) {
-		var buf []IndexProb
-		for i := 0; i < b.N; i++ {
-			buf = mc.EstimatePositiveInto(q(i), buf)
-		}
-	})
 }

@@ -18,7 +18,6 @@ import (
 // O(ρk log(ρ/ε) + log N) with the kd-tree k-NN standing in for the [AC09]
 // structure (exact answers, expected rather than worst-case query time).
 type Spiral struct {
-	n       int
 	k       int     // max description complexity
 	rho     float64 // spread of location probabilities (Eq. 9)
 	backend knnBackend
@@ -34,16 +33,10 @@ type Spiral struct {
 // quadtree backend still allocates inside its best-first KNearest (its
 // container/heap search has not been given the pooled treatment).
 type knnBackend interface {
-	kNearest(q geom.Point, k int) []int
 	kNearestInto(q geom.Point, k int, dst []int, items []kdtree.Item) ([]int, []kdtree.Item)
 }
 
 type kdBackend struct{ t *kdtree.Tree }
-
-func (b kdBackend) kNearest(q geom.Point, k int) []int {
-	out, _ := b.kNearestInto(q, k, nil, nil)
-	return out
-}
 
 func (b kdBackend) kNearestInto(q geom.Point, k int, dst []int, items []kdtree.Item) ([]int, []kdtree.Item) {
 	items = b.t.KNearestInto(q, k, items)
@@ -55,15 +48,6 @@ func (b kdBackend) kNearestInto(q geom.Point, k int, dst []int, items []kdtree.I
 }
 
 type quadBackend struct{ t *quadtree.Tree }
-
-func (b quadBackend) kNearest(q geom.Point, k int) []int {
-	near := b.t.KNearest(q, k)
-	out := make([]int, len(near))
-	for i, it := range near {
-		out[i] = it.ID
-	}
-	return out
-}
 
 func (b quadBackend) kNearestInto(q geom.Point, k int, dst []int, items []kdtree.Item) ([]int, []kdtree.Item) {
 	dst = dst[:0]
@@ -96,7 +80,7 @@ func NewSpiralQuadtree(pts []*dist.Discrete) *Spiral {
 }
 
 func newSpiralCommon(pts []*dist.Discrete) *Spiral {
-	s := &Spiral{n: len(pts), locs: Flatten(pts)}
+	s := &Spiral{locs: Flatten(pts)}
 	wmin, wmax := math.Inf(1), 0.0
 	for _, p := range pts {
 		if p.K() > s.k {
@@ -119,19 +103,17 @@ func newSpiralCommon(pts []*dist.Discrete) *Spiral {
 func (s *Spiral) Rho() float64 { return s.rho }
 
 // M returns m(ρ, ε) = ⌈ρk·ln(ρ/ε)⌉ + k − 1, the retrieval size Theorem 4.7
-// prescribes (capped at N).
+// prescribes (capped at N). The bound is compared in float before it
+// becomes an int: a large weight spread ρ puts it past the int range.
 func (s *Spiral) M(eps float64) int {
 	if eps <= 0 || eps >= 1 {
 		eps = 0.5
 	}
-	m := int(math.Ceil(s.rho*float64(s.k)*math.Log(s.rho/eps))) + s.k - 1
-	if m < s.k {
-		m = s.k
+	m := math.Ceil(s.rho*float64(s.k)*math.Log(s.rho/eps)) + float64(s.k-1)
+	if m >= float64(len(s.locs)) {
+		return len(s.locs)
 	}
-	if m > len(s.locs) {
-		m = len(s.locs)
-	}
-	return m
+	return max(int(m), s.k)
 }
 
 // spiralScratch holds the pooled retrieval buffers of the sparse spiral
@@ -154,32 +136,11 @@ func (s *Spiral) retrieve(q geom.Point, eps float64, sc *spiralScratch) {
 	}
 }
 
-// Estimate returns π̂_i(q) for all i with additive error at most ε:
-// π̂_i ≤ π_i ≤ π̂_i + ε.
-func (s *Spiral) Estimate(q geom.Point, eps float64) []float64 {
-	return s.EstimateInto(q, eps, make([]float64, s.n))
-}
-
-// EstimateInto is Estimate writing into pi (length n).
-func (s *Spiral) EstimateInto(q geom.Point, eps float64, pi []float64) []float64 {
-	sc := spiralPool.Get().(*spiralScratch)
-	s.retrieve(q, eps, sc)
-	pi = ExactSubsetInto(sc.sub, s.n, q, pi)
-	spiralPool.Put(sc)
-	return pi
-}
-
-// EstimatePositive reports the at most m(ρ,ε) points with positive
-// estimates.
-func (s *Spiral) EstimatePositive(q geom.Point, eps float64) []IndexProb {
-	return s.EstimatePositiveInto(q, eps, nil)
-}
-
-// EstimatePositiveInto is EstimatePositive appending into dst (reused
-// from its start) in increasing index order. The sparse hot path of
-// Theorem 4.7: only the m(ρ,ε) retrieved locations are touched, no
-// N-length vector exists anywhere, and the reported probabilities are
-// bitwise identical to Estimate's nonzero entries.
+// EstimatePositiveInto appends the points with positive estimates to
+// dst (reused from its start) in increasing index order. Each estimate
+// has additive error at most ε: π̂_i ≤ π_i ≤ π̂_i + ε. Only the m(ρ,ε)
+// retrieved locations are touched, so at most that many points are
+// reported and no N-length vector exists anywhere.
 func (s *Spiral) EstimatePositiveInto(q geom.Point, eps float64, dst []IndexProb) []IndexProb {
 	sc := spiralPool.Get().(*spiralScratch)
 	s.retrieve(q, eps, sc)

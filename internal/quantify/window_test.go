@@ -34,23 +34,15 @@ func fullSweep(pts []*dist.Discrete, q geom.Point) []float64 {
 	return pi
 }
 
-// requireWindowMatchesFull checks the dense (ExactAll, ExactAllInto) and
-// sparse (ExactPositiveInto) window answers against fullSweep, bitwise.
+// requireWindowMatchesFull checks the dense (ExactAll) and sparse
+// (ExactPositiveInto) window answers against fullSweep, bitwise.
 func requireWindowMatchesFull(t *testing.T, pts []*dist.Discrete, q geom.Point) {
 	t.Helper()
 	want := fullSweep(pts, q)
-	into := make([]float64, len(pts))
-	for i := range into {
-		into[i] = -1 // stale caller memory must be overwritten
-	}
-	for name, got := range map[string][]float64{
-		"ExactAll":     ExactAll(pts, q),
-		"ExactAllInto": ExactAllInto(pts, q, into),
-	} {
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("q=%v: %s π_%d = %v, full sweep %v", q, name, i, got[i], want[i])
-			}
+	got := ExactAll(pts, q)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("q=%v: ExactAll π_%d = %v, full sweep %v", q, i, got[i], want[i])
 		}
 	}
 	requireSparseMatchesDense(t, ExactPositiveInto(pts, q, nil), want)

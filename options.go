@@ -1,6 +1,9 @@
 package pnn
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Metric selects the distance function of the query engine.
 type Metric int
@@ -79,20 +82,23 @@ func Exact() Quantifier { return Quantifier{kind: quantExact} }
 // MonteCarlo estimates π_i(q) from preprocessed random instantiations
 // with additive error at most eps for every query, with probability at
 // least 1−delta (Theorems 4.3 and 4.5). The round count follows the
-// theorems; use MonteCarloBudget for an explicit budget.
+// theorems; use MonteCarloBudget for an explicit budget. eps and delta
+// must lie in (0, 1).
 func MonteCarlo(eps, delta float64) Quantifier {
 	return Quantifier{kind: quantMonteCarlo, eps: eps, delta: delta}
 }
 
 // MonteCarloBudget estimates π_i(q) from an explicit number of
-// preprocessed rounds; the error scales as sqrt(log/rounds).
+// preprocessed rounds (at least 1); the error scales as
+// sqrt(log/rounds).
 func MonteCarloBudget(rounds int) Quantifier {
 	return Quantifier{kind: quantMonteCarloBudget, rounds: rounds}
 }
 
 // SpiralSearch approximates π_i(q) deterministically with one-sided
-// additive error: π̂_i ≤ π_i ≤ π̂_i + eps (Theorem 4.7). Continuous
-// points are first discretized (Lemma 4.4; see WithSpiralSamples).
+// additive error: π̂_i ≤ π_i ≤ π̂_i + eps (Theorem 4.7), for eps in
+// (0, 1). Continuous points are first discretized (Lemma 4.4; see
+// WithSpiralSamples).
 func SpiralSearch(eps float64) Quantifier {
 	return Quantifier{kind: quantSpiral, eps: eps}
 }
@@ -103,6 +109,28 @@ func SpiralSearch(eps float64) Quantifier {
 // queries outside the box fall back to the exact sweep.
 func VPrDiagram(minX, minY, maxX, maxY float64) Quantifier {
 	return Quantifier{kind: quantVPr, minX: minX, minY: minY, maxX: maxX, maxY: maxY}
+}
+
+// validate rejects parameters outside the quantifier's domain, before
+// anything is built: eps and delta must lie in (0, 1), and an explicit
+// round budget must be at least 1.
+func (q Quantifier) validate() error {
+	inUnit := func(v float64) bool { return v > 0 && v < 1 }
+	switch q.kind {
+	case quantMonteCarlo:
+		if !inUnit(q.eps) || !inUnit(q.delta) {
+			return fmt.Errorf("pnn: MonteCarlo(%g, %g) needs eps and delta in (0, 1): %w", q.eps, q.delta, ErrInvalidParam)
+		}
+	case quantMonteCarloBudget:
+		if q.rounds < 1 {
+			return fmt.Errorf("pnn: MonteCarloBudget(%d) needs at least 1 round: %w", q.rounds, ErrInvalidParam)
+		}
+	case quantSpiral:
+		if !inUnit(q.eps) {
+			return fmt.Errorf("pnn: SpiralSearch(%g) needs eps in (0, 1): %w", q.eps, ErrInvalidParam)
+		}
+	}
+	return nil
 }
 
 // Option configures an Index under construction. All options have
@@ -153,7 +181,7 @@ func WithQuantifier(q Quantifier) Option {
 // WithSeed seeds every randomized component (Monte Carlo instantiation,
 // continuous-point discretization). Indexes built with the same data,
 // options, and seed answer every query identically — including
-// QueryBatch at any worker count. The default seed is 1, so omitting
+// QueryBatchOps at any worker count. The default seed is 1, so omitting
 // the option is also deterministic.
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.seed = seed }
