@@ -12,11 +12,14 @@
 //   - Field names and JSON tags of existing fields never change and are
 //     never removed; new fields are only ever added, and always with
 //     omitempty so old servers' responses still decode cleanly.
-//   - Responses are encoded with encoding/json, which is deterministic
-//     for these struct types: the same answer always serializes to the
-//     same bytes. The server's result cache and the router's
-//     scatter-gather path both rely on this — cached and proxied bodies
-//     are byte-identical to freshly computed ones.
+//   - Responses are encoded deterministically: the same answer always
+//     serializes to the same bytes, exactly those encoding/json writes
+//     for these struct types. The server writes /v1/probabilities
+//     bodies with its own encoder, which a server test and a fuzz
+//     target pin byte for byte to encoding/json; every other response
+//     goes through encoding/json itself. The server's result cache and
+//     the router's scatter-gather path both rely on this — cached and
+//     proxied bodies are byte-identical to freshly computed ones.
 //   - Error bodies always decode into Error. Code was added after
 //     Error.Error and may be empty when talking to older servers;
 //     clients must treat an empty Code as CodeInternal.

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -44,6 +46,7 @@ import (
 	"pnn/internal/rtree"
 	"pnn/internal/stats"
 	"pnn/internal/workload"
+	"pnn/server"
 )
 
 var (
@@ -919,6 +922,43 @@ func expMicrobench() {
 	}
 	xqs := workload.QueryPoints(xr, 256, workload.DiscreteBBox(xpts))
 
+	// The serving path over the same set: one GET through the server's
+	// handler per op, result cache off, so every request runs the
+	// engine and encodes its body. A probabilities body carries all
+	// 10,000 entries; topk, which writes a three-entry ranking, is the
+	// control. The warm-up GET builds the engine before any timer.
+	xreg := server.NewRegistry()
+	if err := xreg.Add("bench", xset); err != nil {
+		panic(err)
+	}
+	xsrv := server.New(xreg, server.Config{CacheSize: -1})
+	defer xsrv.Close()
+	serve := func(op string) func(b *testing.B) {
+		h := xsrv.Handler()
+		paths := make([]string, len(xqs))
+		for i, q := range xqs {
+			paths[i] = fmt.Sprintf("/v1/%s?dataset=bench&x=%g&y=%g", op, q.X, q.Y)
+		}
+		get := func(path string) error {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				return fmt.Errorf("GET %s: status %d: %s", path, rec.Code, rec.Body)
+			}
+			return nil
+		}
+		if err := get(paths[0]); err != nil {
+			panic(err)
+		}
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := get(paths[i%len(paths)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+
 	benches := []struct {
 		name   string
 		params map[string]any
@@ -986,6 +1026,8 @@ func expMicrobench() {
 				}
 			}
 		}},
+		{"serve-probabilities", map[string]any{"n": xset.Len(), "k": 4, "cache": "off"}, serve("probabilities")},
+		{"serve-topk", map[string]any{"n": xset.Len(), "k": 4, "topk": 3, "cache": "off"}, serve("topk")},
 		{"spiral-0.05", map[string]any{"n": np, "k": kp, "eps": 0.05}, func(b *testing.B) {
 			var buf []quantify.IndexProb
 			for i := 0; i < b.N; i++ {

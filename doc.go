@@ -73,7 +73,8 @@
 //
 // New and NewDynamic reject a quantifier outside its domain with
 // ErrInvalidParam before building anything: MonteCarlo and SpiralSearch
-// need eps (and delta) in (0, 1), MonteCarloBudget at least one round.
+// need eps (and delta) in (0, 1), MonteCarloBudget at least one round,
+// and WithIntegrationPanels and WithSpiralSamples a count of at least 1.
 // TopK(q, k) defines its edges identically through the facade,
 // QueryBatchOps, and the HTTP serving surface: k < 0 fails with
 // ErrInvalidParam, k == 0 answers an empty ranking, k > Len() clamps.

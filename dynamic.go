@@ -133,7 +133,7 @@ func NewDynamic(opts ...Option) (*DynamicIndex, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cfg.quant.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.src != nil {

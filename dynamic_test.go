@@ -513,6 +513,11 @@ func TestDynamicEmptyAndErrors(t *testing.T) {
 			t.Fatalf("NewDynamic(%+v) err = %v, want ErrInvalidParam", q, err)
 		}
 	}
+	for _, o := range []Option{WithIntegrationPanels(0), WithIntegrationPanels(-5), WithSpiralSamples(0), WithSpiralSamples(-5)} {
+		if _, err := NewDynamic(o); !errors.Is(err, ErrInvalidParam) {
+			t.Fatalf("NewDynamic with a non-positive count: err = %v, want ErrInvalidParam", err)
+		}
+	}
 
 	d, err := NewDynamic()
 	if err != nil {

@@ -100,7 +100,7 @@ func New(data UncertainSet, opts ...Option) (*Index, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if err := cfg.quant.validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.metricSet {

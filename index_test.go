@@ -314,6 +314,18 @@ func TestIndexOptionValidation(t *testing.T) {
 			}
 		}
 	}
+	// So do non-positive panel and sample counts, which used to fall
+	// back to the defaults silently.
+	for _, o := range []Option{
+		WithIntegrationPanels(0), WithIntegrationPanels(-5),
+		WithSpiralSamples(0), WithSpiralSamples(-5),
+	} {
+		for _, set := range []UncertainSet{dset, cset} {
+			if _, err := New(set, o); !errors.Is(err, ErrInvalidParam) {
+				t.Fatalf("New(%T) with a non-positive count: err = %v, want ErrInvalidParam", set, err)
+			}
+		}
+	}
 	idx, err := New(dset)
 	if err != nil {
 		t.Fatal(err)

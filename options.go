@@ -150,6 +150,19 @@ type config struct {
 	spiralSamples int
 }
 
+// validate rejects a configuration with a parameter outside its
+// domain, before anything is built: the quantifier's own parameters and
+// non-positive panel or sample counts.
+func (c config) validate() error {
+	if c.panels < 1 {
+		return fmt.Errorf("pnn: WithIntegrationPanels(%d) needs at least 1 panel: %w", c.panels, ErrInvalidParam)
+	}
+	if c.spiralSamples < 1 {
+		return fmt.Errorf("pnn: WithSpiralSamples(%d) needs at least 1 sample: %w", c.spiralSamples, ErrInvalidParam)
+	}
+	return c.quant.validate()
+}
+
 func defaultConfig() config {
 	return config{
 		backend:       BackendIndex,
@@ -196,22 +209,18 @@ func WithRandSource(src rand.Source) Option {
 // WithIntegrationPanels sets the Simpson panel count used when
 // probabilities of continuous points are computed by numerical
 // integration of Eq. (1). Accuracy grows with panels; the default 512
-// gives ~1e-4 on well-conditioned inputs.
+// gives ~1e-4 on well-conditioned inputs. n must be at least 1 (New and
+// NewDynamic fail with ErrInvalidParam otherwise); the integrator
+// raises counts below 8 to 8 and rounds an odd count up to the next
+// even one.
 func WithIntegrationPanels(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.panels = n
-		}
-	}
+	return func(c *config) { c.panels = n }
 }
 
 // WithSpiralSamples sets the per-point sample count used to discretize
 // continuous distributions for spiral search (Lemma 4.4). The sampling
-// error adds n·α(samples) to the spiral ε.
+// error adds n·α(samples) to the spiral ε. n must be at least 1 (New
+// and NewDynamic fail with ErrInvalidParam otherwise).
 func WithSpiralSamples(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.spiralSamples = n
-		}
-	}
+	return func(c *config) { c.spiralSamples = n }
 }

@@ -19,6 +19,14 @@
 // byte-identical to a freshly computed one (see pnn/api for the
 // wire-format guarantees).
 //
+// Responses are encoded with encoding/json, except /v1/probabilities:
+// its N-long vector is mostly zeros (π_i(q) > 0 only on NN≠0(q)), so
+// the server writes it with its own encoder, which copies zero runs
+// from a constant. That encoder writes exactly encoding/json's bytes
+// and fails exactly where encoding/json fails (NaN, ±Inf);
+// TestProbabilitiesBodiesMatchEncodingJSON and FuzzProbabilitiesBody
+// pin it.
+//
 // # Endpoints
 //
 //	GET  /healthz           liveness and dataset count

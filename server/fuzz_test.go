@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
 	"testing"
@@ -97,6 +100,58 @@ func FuzzStorePoints(f *testing.F) {
 		}
 		if err == nil && len(req.Disks) > 0 && len(req.Discrete) > 0 {
 			t.Fatal("storePoints accepted a mixed-kind insert")
+		}
+	})
+}
+
+// FuzzProbabilitiesBody checks the /v1/probabilities encoder against
+// encoding/json. The vector is raw read as little-endian float64 bits,
+// whole words only; an empty vector is checked both nil and non-nil.
+// For any name, point, eps and vector the encoder's bytes must equal
+// json.Marshal's, and it must fail exactly when json.Marshal fails,
+// with the same error.
+func FuzzProbabilitiesBody(f *testing.F) {
+	words := func(fs ...float64) []byte {
+		b := make([]byte, 0, 8*len(fs))
+		for _, v := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	f.Add("fleet", 3.0, 4.0, 0.0, []byte(nil))
+	f.Add("fleet", 3.0, 4.0, 0.05, []byte{})
+	for _, v := range []float64{
+		negZero, 5e-324, 9.999999e-7, 1e-6, 1e20, 1e21, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add("fleet", v, 1.5, 0.0, words(0, v, 0, 0))
+		f.Add("fleet", 1.5, v, v, words(v))
+		f.Add("fleet", 0.0, 0.0, -v, words(v, -v, 0.25, 0))
+	}
+	for _, name := range []string{"<a&b>", "line\u2028sep\u2029", "bad\xffutf8\xc3", ""} {
+		f.Add(name, -1.25, 1e-7, 0.1, words(0.5, 0, 0.5))
+	}
+
+	f.Fuzz(func(t *testing.T, dataset string, x, y, eps float64, raw []byte) {
+		ps := make([]float64, len(raw)/8)
+		for i := range ps {
+			ps[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		vecs := [][]float64{ps}
+		if len(ps) == 0 {
+			vecs = append(vecs, nil)
+		}
+		for _, vec := range vecs {
+			v := api.Probabilities{Dataset: dataset, Query: api.Point{X: x, Y: y}, Eps: eps, Probabilities: vec}
+			want, wantErr := json.Marshal(v)
+			got, err := marshalProbabilities(v)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("%+v: err = %v, json.Marshal err = %v", v, err, wantErr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%+v:\n got  %s\n want %s", v, got, want)
+			}
 		}
 	})
 }

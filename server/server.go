@@ -387,7 +387,7 @@ func (s *Server) answer(ctx context.Context, op pnn.Op, p params) (body []byte, 
 		return nil, "", failure(res.Err)
 	}
 	enc := time.Now()
-	body, err = json.Marshal(p.response(op, ds, entry.eng, res))
+	body, err = encode(p.response(op, ds, entry.eng, res))
 	obs.Stage(ctx, "encode", s.metrics.stages.With("encode"), enc, time.Now())
 	if err != nil {
 		return nil, "", &queryError{http.StatusInternalServerError, api.CodeInternal, err}
